@@ -182,7 +182,6 @@ def test_partitioned_replay_throughput(partition_model):
             model_dir,
             instances=instances,
             config=InstanceConfig(
-                workers=1,
                 idle_timeout=1e9,
                 close_grace=CLOSE_GRACE,
                 max_flows=MAX_FLOWS,

@@ -2,17 +2,17 @@
 """Online deployment: stream raw packets through a persisted model.
 
 This example mirrors the deployment story of Figure 3 in the paper with the
-sharded streaming runtime: the operator trains CLAP offline and persists it as
-a versioned model artifact (weights + ``manifest.json``); a (simulated)
+streaming runtime: the operator trains CLAP offline and persists it as a
+versioned model artifact (weights + ``manifest.json``); a (simulated)
 middlebox process later loads it, wraps it in a
-:class:`repro.serve.ParallelStreamingDetector` and feeds it a
-:class:`repro.serve.IterableSource` packet stream.  The runtime routes each
-packet to the flow-table shard owning its flow key, workers micro-batch
-completed connections through the batched inference engine, and typed
-``DetectionEvent``/``Alert`` objects funnel back through one callback the
-moment they are scored.  The end-of-stream metrics summary shows the
-backpressure signals an operator would watch (per-shard occupancy, flush
-latency, drop counters).
+:class:`repro.serve.ParallelStreamingDetector` over two worker processes and
+feeds it a :class:`repro.serve.IterableSource` packet stream.  The runtime
+routes each packet to the worker owning its flow key (each worker maps the
+persisted artifact read-only), workers micro-batch completed connections
+through the batched inference engine, and typed ``DetectionEvent``/``Alert``
+objects come back through one callback the moment they are scored.  The
+end-of-stream metrics summary shows the backpressure signals an operator
+would watch (per-worker occupancy, flush latency, drop counters).
 
 Run with:  python examples/online_detector.py
 """
@@ -97,14 +97,16 @@ def main() -> None:
                 f"{event.completed_by.value:>9}  {strategy_name or ''}"
             )
 
-        # Packets in, alerts out: the sharded runtime owns routing, flow
-        # assembly and micro-batching; the deployment code is just a source
+        # Packets in, alerts out: the runtime owns routing, flow assembly
+        # and micro-batching; the deployment code is just a source
         # and a callback.  (A live deployment would swap IterableSource for
         # PcapSource/NDJSONSource, add a ReplaySource for pacing, and pick a
         # DropPolicy for capacity floods.)
         streaming = ParallelStreamingDetector(
             detector_model,
             workers=2,
+            worker_mode="process",
+            model_dir=model_dir,
             flush_policy=FlushPolicy(max_batch=8),
             idle_timeout=30.0,
             close_grace=0.5,

@@ -8,9 +8,9 @@ writing any Python:
 * ``repro-clap train``     — train CLAP on a benign capture and persist the model;
 * ``repro-clap score``     — score a capture with a persisted model (forensic mode);
 * ``repro-clap stream``    — replay a capture (pcap or NDJSON) through the
-  sharded streaming runtime (``--workers``), emitting one NDJSON event per
-  completed connection (online mode); ``--instances``/``--instance`` fan the
-  stream out to partitioned detector instances instead;
+  streaming runtime, emitting one NDJSON event per completed connection
+  (online mode); ``--workers N --worker-mode process`` fans it out to local
+  worker processes, ``--instances``/``--instance`` to detector instances;
 * ``repro-clap serve-instance`` — run one partitioned-serving detector
   instance: listen on a socket, serve one front-end connection;
 * ``repro-clap strategies``— list the attack catalogue.
@@ -118,10 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--threshold", type=float, default=None,
                         help="override the persisted adversarial-score threshold")
     stream.add_argument("--workers", type=int, default=1,
-                        help="flow-table shards / workers (1 = single-threaded)")
+                        help="workers (1 = single-threaded; more need "
+                             "--worker-mode process)")
     stream.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                        help="worker substrate: threads (default; share one GIL) or "
-                             "processes (one core each, model shared via read-only mmap)")
+                        help="thread: score on the calling thread (default, one "
+                             "worker); process: worker processes, one core each, "
+                             "model shared via read-only mmap")
     stream.add_argument("--source", choices=("auto", "pcap", "ndjson"), default="auto",
                         help="input format; auto picks by file extension")
     stream.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
@@ -155,13 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--subnet-prefix", type=int, default=24,
                         help="prefix length grouping sources for --subnet-budget")
     stream.add_argument("--chunk-size", default="adaptive",
-                        help="packets per shard hand-off: an integer pins it, "
+                        help="packets per worker hand-off: an integer pins it, "
                              "'adaptive' (default) grows under backpressure and "
                              "shrinks when flush latency climbs")
     stream.add_argument("--instances", type=int, default=None,
                         help="fan the stream out to this many locally spawned "
-                             "partitioned detector instances instead of the "
-                             "in-process sharded runtime")
+                             "partitioned detector instances")
     stream.add_argument("--instance", action="append", default=None,
                         metavar="HOST:PORT",
                         help="connect to an already-running detector instance "
@@ -197,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the runtime metrics summary to stderr at end of stream")
     stream.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"), default=None,
                         help="serve through this sequence backend instead of the persisted "
-                             "one (process workers receive the converted model via a "
-                             "temporary artifact)")
+                             "one (process workers inherit the converted model)")
 
     serve = subparsers.add_parser(
         "serve-instance",
@@ -208,10 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="address to listen on (default: loopback)")
     serve.add_argument("--port", type=int, default=0,
                        help="port to listen on (default: OS-assigned; printed)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="flow-table shards / workers inside this instance")
-    serve.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                       help="worker substrate inside this instance")
     serve.add_argument("--threshold", type=float, default=None,
                        help="override the persisted adversarial-score threshold")
     serve.add_argument("--max-batch", type=int, default=128,
@@ -234,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-source-subnet budget of scored capacity evictions")
     serve.add_argument("--subnet-prefix", type=int, default=24,
                        help="prefix length grouping sources for --subnet-budget")
-    serve.add_argument("--chunk-size", default="adaptive",
-                       help="packets per shard hand-off inside this instance "
-                            "(integer or 'adaptive')")
     serve.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"),
                        default=None,
                        help="serve through this sequence backend instead of the "
@@ -456,6 +449,10 @@ def command_stream(args: argparse.Namespace) -> int:
         print("error: --instances and --instance are mutually exclusive", file=sys.stderr)
         return 2
     partitioned = args.instances is not None or endpoints is not None
+    if partitioned and args.workers != 1:
+        print("error: --workers applies to the in-process runtime; "
+              "--instances/--instance fan out by themselves", file=sys.stderr)
+        return 2
     clap = None
     if not partitioned:
         clap = _load_model(args.model, backend=getattr(args, "backend", None))
@@ -508,15 +505,12 @@ def command_stream(args: argparse.Namespace) -> int:
                 instances=args.instances,
                 endpoints=endpoints,
                 config=InstanceConfig(
-                    workers=args.workers,
-                    worker_mode=args.worker_mode,
                     flush_policy=flush_policy,
                     threshold=args.threshold,
                     idle_timeout=args.idle_timeout,
                     close_grace=args.close_grace,
                     max_flows=args.max_flows,
                     drop_policy=drop_policy,
-                    chunk_size=chunk_size,
                 ),
                 backend=getattr(args, "backend", None),
                 chunk_size=chunk_size,
@@ -538,10 +532,9 @@ def command_stream(args: argparse.Namespace) -> int:
                 drop_policy=drop_policy,
                 chunk_size=chunk_size,
                 # Process workers mmap the artifact the CLI already has on
-                # disk; no temporary re-save of the model.  With a --backend
-                # override the on-disk artifact no longer matches the served
-                # pipeline, so let the runtime save the converted model to a
-                # temporary directory for the workers instead.
+                # disk.  With a --backend override the on-disk artifact no
+                # longer matches the served pipeline, so the workers inherit
+                # the converted model across the fork instead.
                 model_dir=(
                     args.model
                     if args.worker_mode == "process" and getattr(args, "backend", None) is None
@@ -652,8 +645,6 @@ def command_serve_instance(args: argparse.Namespace) -> int:
         return 2
     try:
         config = InstanceConfig(
-            workers=args.workers,
-            worker_mode=args.worker_mode,
             flush_policy=FlushPolicy(max_batch=args.max_batch,
                                      max_buffered=max(args.max_batch, 1024)),
             threshold=args.threshold,
@@ -661,7 +652,6 @@ def command_serve_instance(args: argparse.Namespace) -> int:
             close_grace=args.close_grace,
             max_flows=args.max_flows,
             drop_policy=_stream_drop_policy(args),
-            chunk_size=_parse_chunk_size(args.chunk_size),
         )
         return run_instance(
             args.model,

@@ -111,9 +111,9 @@ class ThroughputResult:
     ingest: str = "object"
     worker_mode: str = "thread"
     #: Fixed startup costs measured separately for streaming rows: runtime
-    #: construction plus the first flush barrier (process pools pay their
-    #: model save / pool spawn / per-worker mmap load here).  Zero for the
-    #: batch/sequential modes, whose setup is the model itself.
+    #: construction plus the first flush barrier (worker processes pay their
+    #: fork and first answer here).  Zero for the batch/sequential modes,
+    #: whose setup is the model itself.
     setup_seconds: float = 0.0
     backend: str = "gru"
 
@@ -306,10 +306,10 @@ class ExperimentRunner:
         uses the per-connection reference loop where the detector offers one
         (``score_connections_sequential``), falling back to the batched path
         otherwise (e.g. for Baseline #2); ``"streaming"`` replays the
-        connections' packets in timestamp order through the sharded
+        connections' packets in timestamp order through
         :class:`~repro.serve.ParallelStreamingDetector` (CLAP only) with
-        ``workers`` flow-table shards, measuring the full
-        packets-in/alerts-out serving path including flow assembly.
+        ``workers`` workers, measuring the full packets-in/alerts-out
+        serving path including flow assembly.
 
         ``ingest`` applies to the streaming mode: ``"object"`` replays full
         :class:`Packet` objects, ``"columnar"`` replays
@@ -320,11 +320,12 @@ class ExperimentRunner:
         parse stage is excluded for the object path too).
 
         ``worker_mode`` also applies to the streaming mode: ``"thread"``
-        (default) or ``"process"``.  Streaming rows report *steady-state*
-        throughput: fixed startup costs — runtime construction, and for
-        process pools the model-artifact save, pool spawn and each worker's
-        read-only-mmap load (forced to completion by an empty ``flush()``
-        barrier) — are measured separately into
+        (default; one worker on the calling thread) or ``"process"`` (local
+        worker processes, required for ``workers > 1``).  Streaming rows
+        report *steady-state* throughput: fixed startup costs — runtime
+        construction, and for worker processes the fork and each worker's
+        first answer (forced by an empty ``flush()`` barrier) — are
+        measured separately into
         :attr:`ThroughputResult.setup_seconds`, with the old
         setup-inclusive figure still available as
         :attr:`ThroughputResult.total_packets_per_second`.
@@ -362,9 +363,9 @@ class ExperimentRunner:
                 worker_mode=worker_mode,
                 idle_timeout=float("inf"),
             )
-            # An empty flush round-trips every shard worker, so lazy fixed
-            # costs (process spawn, per-worker model load) land in the setup
-            # region instead of distorting the first measured batch.
+            # An empty flush round-trips every worker, so lazy fixed costs
+            # (process fork, first answer) land in the setup region instead
+            # of distorting the first measured batch.
             streaming.flush()
             setup_elapsed = time.perf_counter() - setup_start
             start = time.perf_counter()

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import pickle
 import struct
-import weakref
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -108,125 +107,6 @@ _PACK_HEADER = struct.Struct("<3sBBxxxQQ")
 _BACKING_NONE = 0
 _BACKING_RAW = 1
 _BACKING_PACKETS = 2
-
-
-class BlockLeaseClosedError(RuntimeError):
-    """A column was read after the :class:`BlockLease` backing it was closed."""
-
-
-class _ClosedColumn:
-    """Sentinel installed over every column of an invalidated block.
-
-    Any read — indexing, iteration, array conversion, attribute access —
-    raises :class:`BlockLeaseClosedError`, so a view that outlives its lease
-    fails deterministically instead of reading unmapped (or recycled) memory.
-    """
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def _raise(self) -> None:
-        raise BlockLeaseClosedError(
-            f"column {self._name!r} was read after its BlockLease was closed"
-        )
-
-    def __getitem__(self, index: object) -> None:
-        self._raise()
-
-    def __len__(self) -> int:
-        self._raise()
-        return 0  # pragma: no cover - unreachable
-
-    def __iter__(self) -> None:
-        self._raise()
-
-    def __array__(self, dtype: object = None, copy: object = None) -> None:
-        self._raise()
-
-    def __getattr__(self, attribute: str) -> None:
-        self._raise()
-
-
-def _invalidate_columns(columns: "PacketColumns") -> None:
-    """Swap every array of ``columns`` for a :class:`_ClosedColumn` sentinel."""
-    for name in (*_ARRAY_FIELDS, "buffer", "offsets", "lengths"):
-        if getattr(columns, name, None) is not None:
-            setattr(columns, name, _ClosedColumn(name))
-
-
-class BlockLease:
-    """Lifetime handle for the borrowed buffer behind unpacked blocks.
-
-    :func:`unpack_block` builds zero-copy ``frombuffer`` views, so the
-    unpacked columns are only valid while the wire buffer they view stays
-    mapped.  When that buffer is owned elsewhere — a POSIX shared-memory
-    segment mapped by a process shard worker, a socket receive buffer being
-    recycled — the owner wraps its hold in a ``BlockLease`` and passes it to
-    ``unpack_block``, which registers every produced :class:`PacketColumns`
-    on the lease:
-
-    * :meth:`close` (or exiting the lease's ``with`` block) **invalidates**
-      every registered block first — each column is replaced by a sentinel
-      that raises :class:`BlockLeaseClosedError` on any read — and then
-      releases the buffer hold.  Use it to revoke views early.
-    * :meth:`release` drops the buffer hold *without* invalidation; it is the
-      refcount-style path for when the columns are already unreachable (e.g.
-      a ``weakref.finalize`` on the block).
-
-    Either way the ``on_release`` callback fires exactly once, which is where
-    the buffer's owner unmaps/recycles it (the streaming runtime's extension
-    of the shared-memory ack protocol: a segment is returned for unmapping
-    only after every column view on it has been released or revoked).
-    """
-
-    __slots__ = ("_blocks", "_on_release", "_closed", "__weakref__")
-
-    def __init__(self, on_release: Callable[[], None] | None = None) -> None:
-        self._blocks: list[weakref.ref] = []
-        self._on_release = on_release
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def adopt(self, columns: "PacketColumns") -> None:
-        """Register ``columns`` as viewing this lease's buffer."""
-        if self._closed:
-            raise BlockLeaseClosedError("cannot adopt columns into a closed BlockLease")
-        self._blocks.append(weakref.ref(columns))
-
-    def close(self) -> None:
-        """Revoke every registered view, then release the buffer hold."""
-        if self._closed:
-            return
-        for ref in self._blocks:
-            columns = ref()
-            if columns is not None:
-                _invalidate_columns(columns)
-        self.release()
-
-    def release(self) -> None:
-        """Release the buffer hold without invalidating columns.
-
-        Safe only when the registered columns are unreachable (or known to
-        never be read again); :meth:`close` is the deterministic variant.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._blocks.clear()
-        if self._on_release is not None:
-            callback, self._on_release = self._on_release, None
-            callback()
-
-    def __enter__(self) -> "BlockLease":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 class ColumnPacketView:
@@ -396,10 +276,6 @@ class PacketColumns:
     # Lazily built, deduplicated FlowKey per row (repeated flows share one
     # object, so downstream dict probes hit the cached hash and identity).
     _flow_keys: list[object] | None = None
-    # Lifetime handle when the arrays view a borrowed buffer (shared memory,
-    # socket receive buffer); holding it here keeps the lease alive exactly
-    # as long as some view of this block is.
-    lease: BlockLease | None = None
 
     def __len__(self) -> int:
         return self.timestamp.shape[0]
@@ -697,18 +573,12 @@ def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np
     return array
 
 
-def unpack_block(
-    data: bytes | bytearray | memoryview, *, lease: BlockLease | None = None
-) -> PacketColumns:
+def unpack_block(data: bytes | bytearray | memoryview) -> PacketColumns:
     """Rebuild a :class:`PacketColumns` from :meth:`PacketColumns.pack_block`.
 
     Scalar columns are zero-copy ``frombuffer`` views over ``data`` (always
     read-only, even over a writable buffer), so the unpacked block's memory
-    is the wire payload itself.  When ``data`` is a borrowed mapping — a
-    shared-memory segment, a recycled receive buffer — pass the owner's
-    :class:`BlockLease`; the produced columns are registered on it so the
-    owner can revoke the views (:meth:`BlockLease.close`) or learn when they
-    have all been dropped (``on_release``).
+    is the wire payload itself and lives as long as the columns do.
     """
     view = memoryview(data)
     magic, version, kind, n, backing_len = _PACK_HEADER.unpack_from(view, 0)
@@ -734,11 +604,7 @@ def unpack_block(
         kwargs["packets"] = pickle.loads(view[position : position + backing_len])
     elif kind != _BACKING_NONE:
         raise ValueError(f"unknown packed-block backing kind {kind}")
-    columns = PacketColumns(**kwargs)
-    if lease is not None:
-        lease.adopt(columns)
-        columns.lease = lease
-    return columns
+    return PacketColumns(**kwargs)
 
 
 def _fold_checksum(totals: np.ndarray) -> np.ndarray:

@@ -1,27 +1,40 @@
-"""One partitioned-serving back-end: a detector instance behind a socket.
+"""One detector back-end behind a socket: the worker loop of every topology.
 
-A :class:`DetectorInstance` wraps a full
-:class:`~repro.serve.runtime.ParallelStreamingDetector` (so each instance may
-itself shard across threads or processes) and serves exactly one front-end
-connection speaking the :mod:`repro.serve.wire` frame protocol.  The loop
-mirrors the process-shard worker in :mod:`repro.serve.runtime` one message
-kind at a time:
+A :class:`DetectorInstance` runs one
+:class:`~repro.serve.streaming.StreamingDetector` and serves one connected
+socket speaking the :mod:`repro.serve.wire` frame protocol.  It is the only
+worker loop of the serving layer; the front-end
+(:class:`~repro.serve.partition.FlowPartitioner`) reaches it two ways:
 
+* **local workers** are forked by the front-end, each handed one end of a
+  ``socket.socketpair()`` (:func:`serve_socket`);
+* **remote instances** listen on ``host:port`` and serve the first
+  front-end that connects (:func:`run_instance`, the
+  ``repro-clap serve-instance`` subcommand).
+
+From the worker's side the protocol is:
+
+* the front-end's first frame is ``CTRL hello``, answered by ``CTRL ready``
+  (pid, operating threshold) or by ``CTRL failed`` when the model could not
+  be loaded — the front-end sends it without waiting for the answer;
 * ``BLCK`` frames are unpacked once into a FIFO window of cached column
   views (lockstep with the front-end's broadcast order, so a ``ROWS`` frame
   always finds its block cached);
 * ``ROWS``/``PKTS`` frames carry each packet's routed stream clock, and the
-  instance polls its flow table up to that clock before ingesting — an
-  instance that owns a quiet subset of flows still expires idle/close-grace
-  timers exactly when a single unpartitioned detector would have;
-* interim events stream back as ``EVNT`` frames after every data frame, and
-  the ``close`` control op answers with one ``DONE`` frame carrying the
-  final deterministic drain, the instance's metrics snapshot and its
-  flow-table occupancy (current and peak).
+  worker polls its flow table up to that clock before ingesting — a worker
+  that owns a quiet subset of flows still expires idle/close-grace timers
+  exactly when a single unpartitioned detector would have;
+* every ``ROWS``/``PKTS`` frame and every ``poll``/``flush`` op is answered
+  by exactly one ``EVNT`` frame, empty or not, carrying the events produced
+  so far and the worker's metrics state.  The front-end counts unanswered
+  frames to bound the work in flight per worker;
+* ``close`` answers with one ``DONE`` frame carrying the final deterministic
+  drain, the metrics snapshot and the flow-table occupancy (current, peak).
 
-:func:`run_instance` is the process entry point used both by the
-``repro-clap serve-instance`` CLI subcommand and by
-:meth:`~repro.serve.partition.FlowPartitioner`'s local spawn path.
+A scoring error is reported once as ``CTRL failed``; the worker then keeps
+answering (with no events) so the front-end's barriers and ``close`` still
+complete.  A malformed frame is a protocol fault: the worker drops the
+connection, which the front-end sees as a lost worker.
 """
 
 from __future__ import annotations
@@ -34,15 +47,16 @@ import socket
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.pipeline import Clap
-from repro.netstack.columns import ColumnPacketView, unpack_block
+from repro.netstack.columns import unpack_block
+from repro.netstack.flow import FlowTable
 from repro.netstack.packet import Packet
-from repro.serve.metrics import DropPolicy
-from repro.serve.runtime import _BLOCK_CACHE_DEPTH, ParallelStreamingDetector
-from repro.serve.streaming import FlushPolicy
+from repro.serve.metrics import DropPolicy, StreamingMetrics
+from repro.serve.streaming import FlushPolicy, StreamingDetector
 from repro.serve.wire import (
     TAG_BLCK,
     TAG_CTRL,
@@ -55,15 +69,15 @@ from repro.serve.wire import (
     decode_block,
     decode_control,
     decode_rows,
+    encode_answer,
     encode_control,
-    encode_events,
     iter_ndjson,
     recv_frame,
     send_frame,
 )
 
-#: Bound on waiting for the front-end to connect; a spawned instance whose
-#: partitioner died before connecting exits instead of listening forever.
+#: Bound on waiting for the front-end to connect; a listening instance whose
+#: front-end died before connecting exits instead of listening forever.
 _ACCEPT_TIMEOUT = 60.0
 
 #: Budget for completing one frame once its first byte arrived, and for
@@ -71,19 +85,21 @@ _ACCEPT_TIMEOUT = 60.0
 #: a torn frame or a wedged reader is not.
 _IO_DEADLINE = 30.0
 
+#: How many capture blocks the front-end and every worker keep unpacked.  The
+#: front-end broadcasts every block to every worker in the same order, so both
+#: sides evict in lockstep and a ROWS slice always finds its block cached.
+BLOCK_CACHE_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    """Detector knobs one instance applies; picklable for local spawn.
+    """Detector knobs one worker applies; validated at construction.
 
-    Mirrors the :class:`~repro.serve.runtime.ParallelStreamingDetector`
-    constructor.  ``workers``/``worker_mode`` size the shard pool *inside*
-    the instance, so a 2-instance × 4-process topology is two of these with
-    ``workers=4, worker_mode="process"``.
+    Mirrors the :class:`~repro.serve.streaming.StreamingDetector`
+    constructor.  A global ``max_flows`` budget is split evenly across the
+    front-end's workers.
     """
 
-    workers: int = 1
-    worker_mode: str = "thread"
     flush_policy: FlushPolicy = field(default_factory=FlushPolicy)
     threshold: float | None = None
     top_n: int = 1
@@ -92,105 +108,116 @@ class InstanceConfig:
     max_flows: int | None = None
     max_packets: int | None = None
     drop_policy: DropPolicy | None = None
-    chunk_size: int | str = "adaptive"
+
+    def __post_init__(self) -> None:
+        # Fail in the caller, not asynchronously inside a worker.
+        FlowTable(
+            idle_timeout=self.idle_timeout,
+            close_grace=self.close_grace,
+            max_flows=self.max_flows,
+            max_packets=self.max_packets,
+        )
 
 
 class DetectorInstance:
-    """Serve one front-end connection over ``listen_sock`` with ``clap``."""
+    """Serve one front-end connection with ``clap``.
+
+    ``sock`` is an already-connected socket (a local worker's socketpair
+    end); without it the instance listens on ``host:port`` (see
+    :attr:`address`) and :meth:`serve` accepts one front-end.  ``clap=None``
+    makes a worker that only reports :attr:`failure` and answers empty.
+    """
 
     def __init__(
         self,
-        clap: Clap,
+        clap: Clap | None,
         *,
+        config: InstanceConfig | None = None,
+        sock: socket.socket | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        config: InstanceConfig | None = None,
-        model_dir: str | Path | None = None,
-        block_cache: int = _BLOCK_CACHE_DEPTH,
+        block_cache: int = BLOCK_CACHE_DEPTH,
     ) -> None:
-        self.config = config or InstanceConfig()
-        self._detector = ParallelStreamingDetector(
-            clap,
-            workers=self.config.workers,
-            worker_mode=self.config.worker_mode,
-            flush_policy=self.config.flush_policy,
-            threshold=self.config.threshold,
-            top_n=self.config.top_n,
-            idle_timeout=self.config.idle_timeout,
-            close_grace=self.config.close_grace,
-            max_flows=self.config.max_flows,
-            max_packets=self.config.max_packets,
-            drop_policy=self.config.drop_policy,
-            chunk_size=self.config.chunk_size,
-            model_dir=model_dir if self.config.worker_mode == "process" else None,
-        )
-        self._blocks: "OrderedDict[int, list[ColumnPacketView]]" = OrderedDict()
+        self.config = config = config or InstanceConfig()
+        self.metrics = StreamingMetrics(shard_count=1)
+        self._detector: StreamingDetector | None = None
+        #: Why this worker cannot score (reported to the front-end), if so.
+        self.failure: str | None = "no model loaded" if clap is None else None
+        if clap is not None:
+            self._detector = StreamingDetector(
+                clap,
+                flush_policy=config.flush_policy,
+                threshold=config.threshold,
+                top_n=config.top_n,
+                idle_timeout=config.idle_timeout,
+                close_grace=config.close_grace,
+                max_flows=config.max_flows,
+                max_packets=config.max_packets,
+                drop_policy=config.drop_policy,
+                metrics=self.metrics,
+            )
+        self._blocks: "OrderedDict[int, list]" = OrderedDict()
         self._block_cache = int(block_cache)
         self._clock = float("-inf")
         self._peak_occupancy = 0
-        self._conn: socket.socket | None = None
+        self._conn = sock
         self._closed = False
         self.teardown_errors: list[str] = []
-        self._listener: socket.socket | None = socket.create_server((host, port))
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._listener: socket.socket | None = None
+        if sock is None:
+            self._listener = socket.create_server((host, port))
+            self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------ serve
     def serve(self) -> None:
-        """Accept one front-end connection and serve it to completion.
+        """Serve the connection to completion, accepting it first if listening.
 
-        The accept itself runs under a deadline (``_ACCEPT_TIMEOUT``), so an
+        The accept runs under a deadline (``_ACCEPT_TIMEOUT``), so an
         instance whose front-end died before connecting exits instead of
-        listening forever; :meth:`close` runs on every exit path.
+        listening forever.  A front-end that goes away ends the serve
+        quietly; a malformed frame raises.  :meth:`close` runs on every exit
+        path.
         """
         try:
-            listener = self._listener
-            if listener is None:
-                raise RuntimeError("serve() after close()")
-            listener.settimeout(_ACCEPT_TIMEOUT)
-            try:
-                conn, _ = listener.accept()
-            except TimeoutError:
-                raise WireTimeout(
-                    f"no front-end connected within {_ACCEPT_TIMEOUT}s"
-                ) from None
-            finally:
-                listener.close()
-                self._listener = None
-            self._conn = conn
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._serve_connection(conn)
+            if self._conn is None:
+                listener = self._listener
+                if listener is None:
+                    raise RuntimeError("serve() after close()")
+                listener.settimeout(_ACCEPT_TIMEOUT)
+                try:
+                    self._conn, _ = listener.accept()
+                except TimeoutError:
+                    raise WireTimeout(
+                        f"no front-end connected within {_ACCEPT_TIMEOUT}s"
+                    ) from None
+                finally:
+                    listener.close()
+                    self._listener = None
+                self._conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._serve_connection(self._conn)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the front-end went away; it accounts the loss
         finally:
             self.close()
 
     def close(self) -> None:
-        """Release the listener, connection and detector (idempotent).
+        """Release the listener and connection (idempotent, never raises).
 
-        Safe on a half-open socket (front-end died mid-handshake) and safe
-        to call twice; it never raises, so teardown in an ``except`` path
-        cannot mask the original error — anything that goes wrong here is
-        recorded on :attr:`teardown_errors` instead.
+        Teardown in an ``except`` path cannot mask the original error;
+        anything that goes wrong here is recorded on :attr:`teardown_errors`.
         """
         if self._closed:
             return
         self._closed = True
-        if self._listener is not None:
+        for name in ("_listener", "_conn"):
+            sock = getattr(self, name)
+            if sock is None:
+                continue
             try:
-                self._listener.close()
+                sock.close()
             except OSError as error:  # pragma: no cover - close rarely fails
-                self.teardown_errors.append(f"listener close: {error}")
-            self._listener = None
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError as error:  # pragma: no cover - close rarely fails
-                self.teardown_errors.append(f"connection close: {error}")
-            self._conn = None
-        try:
-            self._detector.close()
-        except Exception as error:
-            # A worker that died mid-stream surfaces here; the front-end is
-            # already gone, so record rather than raise from teardown.
-            self.teardown_errors.append(f"detector close: {error}")
+                self.teardown_errors.append(f"{name.strip('_')} close: {error}")
+            setattr(self, name, None)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         while True:
@@ -198,109 +225,70 @@ class DetectorInstance:
                 frame = recv_frame(conn, time.monotonic() + _IO_DEADLINE)
             except WireTimeout as error:
                 if not error.partial:
-                    # Idle front-end between frames: keep serving.
-                    continue
+                    continue  # idle front-end between frames: keep serving
                 raise
             if frame is None:
-                # Front-end vanished without a close op: drain for the logs'
-                # sake, but there is nobody left to send DONE to.
-                self._detector.close()
-                return
+                return  # front-end gone without a close op: nobody to answer
             tag, payload = frame
-            if tag == TAG_CTRL:
-                if self._handle_control(conn, decode_control(payload)):
-                    return
-            elif tag == TAG_BLCK:
-                self._handle_block(payload)
-            elif tag == TAG_ROWS:
-                self._handle_rows(payload)
-                self._after_data(conn)
+            if tag == TAG_BLCK:
+                block_id, packed = decode_block(payload)
+                self._blocks[block_id] = unpack_block(packed).views()
+                while len(self._blocks) > self._block_cache:
+                    self._blocks.popitem(last=False)
+                continue
+            if tag == TAG_ROWS:
+                block_id, indices, clocks = decode_rows(payload)
+                views = self._blocks.get(block_id)
+                if views is None:
+                    raise WireError(f"ROWS frame for uncached block {block_id}")
+                work = [
+                    (views[index], clock)
+                    for index, clock in zip(indices.tolist(), clocks.tolist(), strict=True)
+                ]
+                self._answer(conn, lambda: self._ingest(work))
             elif tag == TAG_PKTS:
-                self._handle_packets(payload)
-                self._after_data(conn)
+                work = [
+                    (
+                        Packet.from_bytes(
+                            bytes.fromhex(record["data"]), timestamp=float(record["ts"])
+                        ),
+                        float(record["clock"]),
+                    )
+                    for record in iter_ndjson(payload)
+                ]
+                self._answer(conn, lambda: self._ingest(work))
+            elif tag == TAG_CTRL:
+                record = decode_control(payload)
+                op = record["op"]
+                if op == "hello":
+                    if self.failure is None:
+                        ready = {"op": "ready", "pid": os.getpid(),
+                                 "threshold": self._detector.threshold}
+                    else:
+                        ready = {"op": "failed", "error": self.failure}
+                    self._send(conn, TAG_CTRL, encode_control(ready))
+                elif op == "poll":
+                    now = float(record["now"])
+                    self._answer(conn, lambda: self._advance(now))
+                elif op == "flush":
+                    self._answer(conn, lambda: self._detector.flush())
+                elif op == "close":
+                    self._finish(conn)
+                    return
+                elif op == "wedge":
+                    self._wedge()
+                    return
+                else:
+                    raise WireError(f"unknown control op {op!r}")
             else:
                 raise WireError(f"unexpected frame tag {bytes(tag)!r} at instance")
 
-    def _handle_control(self, conn: socket.socket, record: dict) -> bool:
-        """Apply one control op; ``True`` when the stream is finished."""
-        op = record["op"]
-        if op == "hello":
-            send_frame(
-                conn,
-                TAG_CTRL,
-                encode_control(
-                    {
-                        "op": "ready",
-                        "pid": os.getpid(),
-                        "workers": self.config.workers,
-                        "worker_mode": self.config.worker_mode,
-                        "threshold": self._detector.threshold,
-                    }
-                ),
-                deadline=time.monotonic() + _IO_DEADLINE,
-            )
-            return False
-        if op == "wedge":
-            # Fault injection: stop reading the socket without dying, so the
-            # front-end's deadlines (not a crash) must detect the stall.
-            # Exits once the parent process is gone (or on SIGTERM).
-            parent = multiprocessing.parent_process()
-            while parent is None or parent.is_alive():
-                time.sleep(0.2)
-            return True
-        if op == "poll":
-            self._advance(float(record["now"]))
-            self._after_data(conn)
-            return False
-        if op == "close":
-            # Interim events first, then the deterministic final drain in
-            # DONE — close() re-queues the drain on the detector's own event
-            # deque, which must not be double-shipped as EVNT.
-            self._flush_events(conn)
-            final = self._detector.close()
-            self._track_occupancy()
-            send_frame(
-                conn,
-                TAG_DONE,
-                json.dumps(
-                    {
-                        "events": [event.to_dict() for event in final],
-                        "metrics": self._detector.metrics_snapshot(),
-                        "occupancy": self._detector.occupancy(),
-                        "peak_occupancy": self._peak_occupancy,
-                        "connections_seen": self._detector.connections_seen,
-                        "alerts_emitted": self._detector.alerts_emitted,
-                    }
-                ).encode("utf-8"),
-                deadline=time.monotonic() + _IO_DEADLINE,
-            )
-            return True
-        raise WireError(f"unknown control op {op!r}")
-
-    # ------------------------------------------------------------------- data
-    def _handle_block(self, payload) -> None:
-        block_id, packed = decode_block(payload)
-        self._blocks[block_id] = unpack_block(packed).views()
-        while len(self._blocks) > self._block_cache:
-            self._blocks.popitem(last=False)
-
-    def _handle_rows(self, payload) -> None:
-        block_id, indices, clocks = decode_rows(payload)
-        views = self._blocks[block_id]
-        for index, clock in zip(indices.tolist(), clocks.tolist(), strict=True):
-            view = views[index]
+    # ------------------------------------------------------------------- work
+    def _ingest(self, work: list[tuple[Packet, float]]) -> None:
+        detector = self._detector
+        for packet, clock in work:
             self._advance(clock)
-            self._detector.ingest(view)
-            if view.timestamp > self._clock:
-                self._clock = view.timestamp
-
-    def _handle_packets(self, payload) -> None:
-        for record in iter_ndjson(payload):
-            packet = Packet.from_bytes(
-                bytes.fromhex(record["data"]), timestamp=float(record["ts"])
-            )
-            self._advance(float(record["clock"]))
-            self._detector.ingest(packet)
+            detector.ingest(packet)
             if packet.timestamp > self._clock:
                 self._clock = packet.timestamp
 
@@ -310,24 +298,86 @@ class DetectorInstance:
             self._detector.poll(clock)
             self._clock = clock
 
-    def _track_occupancy(self) -> None:
-        occupancy = self._detector.active_flows
-        if occupancy > self._peak_occupancy:
-            self._peak_occupancy = occupancy
+    def _run(self, conn: socket.socket, work: Callable[[], object]) -> object:
+        """Run scoring work unless failed; a failure is reported once."""
+        if self.failure is not None:
+            return None
+        try:
+            return work()
+        except Exception as error:
+            self.failure = f"{type(error).__name__}: {error}"
+            self._send(conn, TAG_CTRL, encode_control({"op": "failed", "error": self.failure}))
+            return None
 
-    def _after_data(self, conn: socket.socket) -> None:
-        self._track_occupancy()
-        self._flush_events(conn)
+    def _answer(self, conn: socket.socket, work: Callable[[], object]) -> None:
+        """Run ``work`` and send its EVNT answer (also when it failed)."""
+        flushed = self._run(conn, work)
+        events = list(self._detector.events()) if self._detector is not None else []
+        count = len(flushed) if isinstance(flushed, list) else 0
+        self._send(conn, TAG_EVNT, encode_answer(self._state(), events, count))
 
-    def _flush_events(self, conn: socket.socket) -> None:
-        events = list(self._detector.events())
-        if events:
-            send_frame(
-                conn,
-                TAG_EVNT,
-                encode_events(events),
-                deadline=time.monotonic() + _IO_DEADLINE,
-            )
+    def _finish(self, conn: socket.socket) -> None:
+        """The close op: the final drain, metrics and occupancy in one DONE."""
+        final = self._run(conn, lambda: self._detector.close()) or []
+        detector = self._detector
+        self._send(
+            conn,
+            TAG_DONE,
+            json.dumps(
+                {
+                    "events": [event.to_dict() for event in final],
+                    "state": self._state(),
+                    "metrics": self.metrics.snapshot([self._active_flows()]),
+                    "peak_occupancy": self._peak_occupancy,
+                    "connections_seen": detector.connections_seen if detector else 0,
+                    "alerts_emitted": detector.alerts_emitted if detector else 0,
+                }
+            ).encode("utf-8"),
+        )
+
+    def _wedge(self) -> None:
+        """Fault injection: stop reading the socket without dying, so the
+        front-end's deadline (not a crash) must detect the stall.  Returns
+        once the parent process is gone (or on SIGTERM)."""
+        parent = multiprocessing.parent_process()
+        while parent is None or parent.is_alive():
+            time.sleep(0.2)
+
+    def _active_flows(self) -> int:
+        return self._detector.active_flows if self._detector is not None else 0
+
+    def _state(self) -> dict[str, object]:
+        active = self._active_flows()
+        if active > self._peak_occupancy:
+            self._peak_occupancy = active
+        state = self.metrics.worker_state()
+        state["active_flows"] = active
+        state["pending"] = self._detector.pending_connections if self._detector else 0
+        return state
+
+    def _send(self, conn: socket.socket, tag: bytes, payload: bytes) -> None:
+        send_frame(conn, tag, payload, deadline=time.monotonic() + _IO_DEADLINE)
+
+
+def serve_socket(
+    sock: socket.socket, load: Callable[[], Clap], config: InstanceConfig
+) -> None:
+    """Process entry of a local worker: load the model, serve ``sock``.
+
+    A model that fails to load becomes a worker that reports the failure
+    and answers empty, so the front-end's failure policy decides.
+    """
+    try:
+        clap = load()
+    except Exception as error:
+        instance = DetectorInstance(None, config=config, sock=sock)
+        instance.failure = f"{type(error).__name__}: {error}"
+    else:
+        instance = DetectorInstance(clap, config=config, sock=sock)
+    try:
+        instance.serve()
+    except (OSError, ValueError):
+        pass  # the front-end spoke garbage; it sees the loss as a closed socket
 
 
 def run_instance(
@@ -339,16 +389,16 @@ def run_instance(
     backend: str | None = None,
     ready=None,
 ) -> int:
-    """Load a model and serve one partitioner connection (process entry).
+    """Load a model and serve one front-end connection (process entry).
 
     ``ready``, when given, receives the bound ``(host, port)`` address once
-    the listener exists — the local-spawn handshake of
-    :class:`~repro.serve.partition.FlowPartitioner`.  Returns a process exit
-    code so the CLI can call it directly.
+    the listener exists.  Returns a process exit code so the CLI can call it
+    directly.
 
-    SIGTERM/SIGINT are translated into a graceful shutdown: the detector
-    drains through :meth:`DetectorInstance.close` (via ``serve``'s finally)
-    and the process exits ``128 + signum`` instead of printing a traceback.
+    SIGTERM/SIGINT are translated into a graceful shutdown: the listener and
+    connection close through :meth:`DetectorInstance.close` (via ``serve``'s
+    finally) and the process exits ``128 + signum`` instead of printing a
+    traceback.
     """
 
     def _graceful_exit(signum, _frame):
@@ -362,15 +412,7 @@ def run_instance(
     clap = Clap.load(model_dir, mmap_mode="r")
     if backend is not None:
         clap = clap.with_backend(backend)
-    instance = DetectorInstance(
-        clap,
-        host=host,
-        port=port,
-        config=config,
-        # Process workers mmap the artifact already on disk unless a backend
-        # conversion made the in-memory pipeline diverge from it.
-        model_dir=model_dir if backend is None else None,
-    )
+    instance = DetectorInstance(clap, host=host, port=port, config=config)
     if ready is not None:
         ready.put(instance.address)
     instance.serve()

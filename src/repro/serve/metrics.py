@@ -14,12 +14,12 @@ the system is under attack.  This module makes both concerns first-class:
   :class:`AdmissionState`, one per worker, keeping the policy itself frozen
   and picklable);
 * :class:`AdaptiveChunker` closes the loop between the runtime's two load
-  signals — queue backpressure grows the ingest chunk size to amortise
-  dispatch, rising flush latency shrinks it back down;
+  signals — backpressure from slow worker answers grows the ingest chunk
+  size to amortise dispatch, rising flush latency shrinks it back down;
 * :class:`StreamingMetrics` aggregates the runtime's operational signals —
-  per-shard ingest/completion counters, drop counters, flush latency
-  histogram, queue/pending depth high-water marks, shared-memory block
-  accounting — behind one lock so every worker thread can record into it.
+  per-worker ingest/completion counters, drop counters, flush latency
+  histogram, in-flight/pending depth high-water marks, block broadcast
+  accounting — behind one lock.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ class DropPolicy:
 class AdmissionState:
     """Mutable per-worker counters behind :class:`DropPolicy` subnet budgets.
 
-    One instance per shard worker (thread or process), created through
-    :meth:`DropPolicy.new_state`; the policy rides pickled worker specs while
-    this object never crosses a process boundary.  Budget windows roll on
+    One instance per worker, created through :meth:`DropPolicy.new_state`;
+    the policy travels to forked workers in their config while this object
+    never crosses a process boundary.  Budget windows roll on
     stream time (the completing connection's last packet timestamp), so replay
     and live traffic behave identically.
     """
@@ -235,11 +235,11 @@ class AdaptiveChunker:
     """Feedback controller for the runtime's ingest chunk size.
 
     The chunk size trades dispatch overhead against latency: bigger chunks
-    amortise queue operations (and, in process mode, pickling), smaller
+    amortise per-frame overhead, smaller
     chunks keep flush latency down.  No fixed value suits both a drizzle and
     a flood, so the runtime drives this controller with its two load signals:
 
-    * **backpressure** — a shard queue reported full while submitting.  The
+    * **backpressure** — a worker answered slower than one wait slice.  The
       workers are behind on per-chunk overhead, so the chunk size doubles
       (up to ``maximum``).
     * **flush latency** — the EWMA of engine flush time climbed past
@@ -300,7 +300,7 @@ class AdaptiveChunker:
                 self._cooldown_left -= 1
 
     def record_backpressure(self) -> None:
-        """A shard queue was full while submitting: grow, cooldown permitting."""
+        """A worker was slow to answer while submitting: grow, cooldown permitting."""
         with self._lock:
             self.backpressure_events += 1
             if self._cooldown_left or self._size >= self.maximum:
@@ -348,17 +348,16 @@ class AdaptiveChunker:
 class StreamingMetrics:
     """Thread-safe operational counters for one streaming detector.
 
-    One instance is shared by every shard worker; all mutation happens under
-    a single lock (the recorded quantities are far coarser-grained than the
-    per-packet hot path, so contention is negligible).
+    All mutation happens under a single lock (the recorded quantities are
+    far coarser-grained than the per-packet hot path, so contention is
+    negligible).
 
-    Process-backed runtimes cannot share the instance across the process
-    boundary, so each shard worker keeps its own local ``StreamingMetrics``
-    and periodically ships :meth:`worker_state` — a picklable counter struct —
-    back to the parent, which stores the latest struct per worker via
+    Workers in other processes keep their own local ``StreamingMetrics``
+    and ship :meth:`worker_state` — a JSON-friendly counter struct — with
+    every answer; the front-end stores the latest struct per worker via
     :meth:`absorb_worker_state`.  :meth:`snapshot` (and therefore
-    :meth:`render`) folds those structs into the parent-side counters, so one
-    snapshot aggregates the whole pool regardless of worker mode.
+    :meth:`render`) folds those structs into the front-end's counters, so one
+    snapshot aggregates every worker.
     """
 
     def __init__(self, shard_count: int = 1) -> None:
@@ -374,16 +373,14 @@ class StreamingMetrics:
         self.flush_latency = LatencyHistogram()
         self.max_pending_depth = 0
         self.max_queue_depth = 0
-        # Shared-memory block accounting (parent side): segments broadcast to
-        # the worker pool, payload bytes that crossed through them, and the
-        # most segments ever awaiting acks at once.
+        # Block broadcast accounting (front-end side; reported under the
+        # ``shared_memory`` key of the snapshot): capture blocks broadcast to
+        # the workers, their packed bytes, and the most blocks ever live.
         self.shm_segments_created = 0
         self.shm_bytes_broadcast = 0
         self.shm_segments_high_water = 0
         # Worker side: payload bytes a worker had to *copy* to materialise a
-        # block (pipe-shipped small blocks); the shared-memory path maps
-        # instead of copying, so under load this staying at zero is the
-        # observable form of the zero-copy contract.
+        # block (unpacking views the received frame, so this stays zero).
         self.payload_bytes_copied = 0
         # Degradation accounting (parent side): losses, respawns and the
         # in-flight packets attributed to each loss.  Non-zero only after a
@@ -431,7 +428,7 @@ class StreamingMetrics:
             self.subnet_drops += count
 
     def record_shm_segment(self, nbytes: int, open_segments: int) -> None:
-        """One shared-memory block segment was created and broadcast."""
+        """One capture block of ``nbytes`` was broadcast to the workers."""
         with self._lock:
             self.shm_segments_created += 1
             self.shm_bytes_broadcast += int(nbytes)

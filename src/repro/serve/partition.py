@@ -1,52 +1,57 @@
-"""Flow-hash partitioned fan-out: one front-end, N detector instances.
+"""The one multi-worker front-end: hash flows once, fan blocks out over sockets.
 
-:class:`FlowPartitioner` is the scale-out layer above
-:class:`~repro.serve.runtime.ParallelStreamingDetector`: where the runtime
-fans packets to shard workers *inside* one host, the partitioner hashes each
-:class:`~repro.netstack.flow.FlowKey` once and fans packet blocks to N
-detector **instances** over sockets — local processes spawned on demand, or
-remote hosts reached by ``host:port`` endpoint.  The wire protocol
-(:mod:`repro.serve.wire`) reuses the NDJSON pipe formats for control,
-events and object packets, and a length-prefixed binary frame carrying
-:meth:`~repro.netstack.columns.PacketColumns.pack_block` payloads for
-columnar data, so a capture block crosses the socket packed exactly once
-per instance and is never re-parsed.
+:class:`FlowPartitioner` hashes each :class:`~repro.netstack.flow.FlowKey`
+once and fans packets out to N workers, each a
+:class:`~repro.serve.instance.DetectorInstance` running one
+:class:`~repro.serve.streaming.StreamingDetector`.  It is the only
+multi-worker transport of the serving layer; a worker is reached one of two
+ways, and both speak the same :mod:`repro.serve.wire` frames:
 
-The transport mirrors the process-mode runtime message for message: capture
-blocks are broadcast to every instance on first sight and re-broadcast when
-they leave the FIFO window, per-instance row slices ride ``ROWS`` frames
-with their routed stream clocks (so every instance's flow-table timers fire
-exactly as one unpartitioned detector's would), and buffered rows are
-chunked under the same :class:`~repro.serve.metrics.AdaptiveChunker` the
-runtime uses — a socket whose send buffer is full is the backpressure
-signal.  Interim events stream back as ``EVNT`` frames and are drained
-before every send, so the front-end never deadlocks against an instance
-that is itself blocked sending events.  :meth:`close` merges every
-instance's final drain into the deterministic ``(first_seen, key)`` order —
-on a time-ordered capture the merged event stream matches a
-single-instance detector's scores within 1e-9 at any instance count
-(``tests/serve/test_partition.py``, ``tools/partition_smoke.py``).
+* **local** (``instances=N``, and
+  :class:`~repro.serve.runtime.ParallelStreamingDetector`'s process mode):
+  the front-end creates a ``socket.socketpair()`` and forks a worker that
+  serves the other end.  Construction returns right after the fork; the
+  worker's ``ready`` record is the first frame it sends back.
+* **remote** (``endpoints=[...]``): the front-end connects to instances
+  started with ``repro-clap serve-instance`` on other hosts.
+
+Capture blocks are broadcast to every worker on first sight (``BLCK``) and
+re-broadcast when they left the FIFO window; per-worker row slices ride
+``ROWS`` frames with their routed stream clocks, so every worker's
+flow-table timers fire exactly as one unpartitioned detector's would.  Rows
+are chunked under an :class:`~repro.serve.metrics.AdaptiveChunker`.  Every
+data frame is answered by one ``EVNT`` frame, and a worker never has more
+than ``queue_depth`` frames unanswered: the front-end waits for answers
+first, which **is** the backpressure, and bounds the alert delay queued in
+front of each worker.  :meth:`close` merges every worker's final drain into
+the deterministic ``(first_seen, key)`` order — on a time-ordered capture
+the merged event stream matches a single detector's scores within 1e-9 at
+any worker count (``tests/serve/test_partition.py``,
+``tests/serve/test_process_runtime.py``, ``tools/stream_smoke.py``).
 
 Fault tolerance
 ---------------
-Every socket operation runs under an ``io_deadline`` and every instance
-failure (dead peer, torn frame, wire timeout) is routed through one policy,
-``on_instance_failure``:
+Every wait for a worker (an answer, a frame, ``DONE``) runs under
+``io_deadline``; a worker that dies, tears a frame or leaves frames
+unanswered past the deadline is lost, and every loss goes through one
+policy, ``on_instance_failure``:
 
 ``fail``
     Record the loss, tear the whole fleet down (no leaked processes), and
     raise :class:`~repro.serve.supervise.InstanceFailure` (a
-    ``ConnectionError``, so the CLI exits 2).
+    ``ConnectionError``, so the CLI exits 2).  A worker that *reports* a
+    scoring failure keeps answering; the failure is raised by every later
+    call up to and including :meth:`close`.
 ``respawn``
-    Locally spawned instances are restarted (bounded by ``max_respawns``
-    per instance) and remote endpoints reconnected under a deterministic
+    Local workers are forked again (bounded by ``max_respawns`` per worker)
+    and remote endpoints reconnected under a deterministic
     :class:`~repro.serve.supervise.Backoff`; the live block window is
     re-shipped to the new incarnation and unsent buffered rows are
     requeued.  Packets in flight inside the dead incarnation are lost and
     attributed; with none in flight the stream is score-identical to an
     unfaulted run.  Budget exhaustion escalates to ``degrade``.
 ``degrade``
-    The lost instance's hash slots are rehashed to the survivors, future
+    The lost worker's hash slots are rehashed to the survivors, future
     flows on those slots carry ``DetectionResult.degraded=True``, typed
     :class:`~repro.serve.events.InstanceLost` /
     :class:`~repro.serve.events.DegradedMode` service events are emitted
@@ -56,11 +61,11 @@ failure (dead peer, torn frame, wire timeout) is routed through one policy,
 The accounting identity ``packets_routed = packets_scored +
 packets_lost_inflight`` holds exactly at :meth:`close` when no
 :class:`~repro.serve.metrics.DropPolicy` is configured: any routed packet
-the instances never scored (including silently dropped frames injected by a
+the workers never scored (including silently dropped frames injected by a
 :class:`~repro.serve.faults.FaultPlan`) is attributed to a loss record in
 :meth:`degradation_report`.  Failures are deterministic to test: a
-``FaultPlan`` kills/wedges instances at exact packet counts and
-drops/corrupts/delays exact frames.
+``FaultPlan`` kills/wedges workers at exact packet counts, refuses
+connects, and drops/corrupts/delays exact frames.
 """
 
 from __future__ import annotations
@@ -73,13 +78,13 @@ import select
 import signal
 import socket
 import time
-from queue import Empty as _ReadyQueueEmpty
 from collections import OrderedDict, deque
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.pipeline import Clap
 from repro.netstack.columns import ColumnPacketView, PacketColumns
 from repro.netstack.flow import flow_key_of
 from repro.netstack.packet import Packet
@@ -91,9 +96,8 @@ from repro.serve.events import (
     event_from_dict,
 )
 from repro.serve.faults import FaultPlan
-from repro.serve.instance import InstanceConfig, run_instance
+from repro.serve.instance import BLOCK_CACHE_DEPTH, InstanceConfig, serve_socket
 from repro.serve.metrics import AdaptiveChunker, StreamingMetrics
-from repro.serve.runtime import _BLOCK_CACHE_DEPTH, _event_order
 from repro.serve.sources import PacketSource, Tick
 from repro.serve.streaming import AlertCallback, EventCallback
 from repro.serve.supervise import (
@@ -111,8 +115,9 @@ from repro.serve.wire import (
     TAG_PKTS,
     TAG_ROWS,
     WireError,
+    WireTimeout,
+    decode_answer,
     decode_control,
-    decode_events,
     encode_block,
     encode_control,
     encode_packets,
@@ -123,10 +128,56 @@ from repro.serve.wire import (
 
 _HANDSHAKE_TIMEOUT = 60.0
 
+#: Slice of one wait for an answer; a wait longer than this counts as
+#: backpressure for the adaptive chunker.
+_WAIT_SLICE = 0.2
 
-def _local_instance_main(model_dir: str, config: InstanceConfig, ready) -> None:
-    """Entry point of one locally spawned instance process."""
-    run_instance(model_dir, host="127.0.0.1", port=0, config=config, ready=ready)
+#: Frames at least this large go only to a worker with nothing unanswered.
+#: The worker then reads the whole frame before it writes anything, so a
+#: full socket in each direction can never block both sides at once.
+_IDLE_SEND_BYTES = 16 * 1024
+
+
+def event_order(event: DetectionEvent) -> tuple[float, str]:
+    """Deterministic event ordering: stream arrival, then connection key."""
+    return (event.first_seen, str(event.result.key))
+
+
+def run_source(detector, source: PacketSource, teardown_errors: list[str]) -> list[DetectionEvent]:
+    """Consume ``source`` into ``detector`` to exhaustion, then close it.
+
+    :class:`~repro.serve.sources.Tick` items become ``poll`` calls.  If the
+    source (or a worker) raises mid-stream, the detector is closed before
+    the error propagates, and a failure met during that close is recorded
+    on ``teardown_errors`` instead of masking the original error.
+    """
+    try:
+        for item in source:
+            if isinstance(item, Tick):
+                detector.poll(item.now)
+            else:
+                detector.ingest(item)
+    except BaseException:
+        try:
+            detector.close()
+        except Exception as teardown_error:
+            teardown_errors.append(f"close during error teardown: {teardown_error!r}")
+        raise
+    return detector.close()
+
+
+def _local_main(
+    frontend: "FlowPartitioner", parent_end: socket.socket, sock: socket.socket
+) -> None:
+    """Entry point of one forked local worker."""
+    # The fork copied the front-end's end of this and every earlier worker's
+    # socket; holding them would keep those workers (this one included) from
+    # ever seeing the front-end go away.
+    parent_end.close()
+    for instance in frontend._instances:
+        if instance.sock is not None:
+            instance.sock.close()
+    serve_socket(sock, frontend._load_model, frontend.config)
 
 
 def _parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
@@ -138,27 +189,10 @@ def _parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
     return host, int(port)
 
 
-class _TaggedReady:
-    """Ready-queue shim tagging each address report with its instance index.
-
-    The shared ready queue delivers addresses in *completion* order; without
-    the tag the front-end could pair instance 0's socket with instance 1's
-    process, which breaks targeted fault injection and respawn.
-    """
-
-    def __init__(self, queue, index: int) -> None:
-        self.queue = queue
-        self.index = index
-
-    def put(self, item) -> None:
-        # clap-lint: allow[RL007] reason=unbounded ready queue; put never blocks on capacity
-        self.queue.put((self.index, item))
-
-
 class _InstanceDown(Exception):
-    """Internal signal: an instance's socket just failed.
+    """Internal signal: one worker's connection just failed.
 
-    Carries the failed instance, the underlying error and any packets whose
+    Carries the failed worker, the underlying error and any packets whose
     ship was interrupted (``requeue``), so the failure handler can re-home
     them under the active policy.
     """
@@ -171,24 +205,23 @@ class _InstanceDown(Exception):
 
 
 class _Instance:
-    """Front-end handle of one detector instance (socket + row buffer)."""
+    """Front-end handle of one worker: socket, row buffer, answer accounting."""
 
-    def __init__(
-        self,
-        index: int,
-        sock: socket.socket | None,
-        process=None,
-        endpoint: tuple[str, int] | None = None,
-    ) -> None:
+    def __init__(self, index: int, endpoint: tuple[str, int] | None = None) -> None:
         self.index = index
-        self.sock = sock
-        self.process = process
         self.endpoint = endpoint
+        self.sock: socket.socket | None = None
+        self.process = None
         self.buffer: list[tuple[Packet, float]] = []
-        self.report: dict[str, object] | None = None
         self.ready: dict[str, object] | None = None
+        self.report: dict[str, object] | None = None
+        self.state: dict[str, object] = {}
         self.lost = False
         self.respawns = 0
+        #: Frames sent that still await their EVNT answer.
+        self.in_flight = 0
+        #: Events the last ``flush`` op produced on this worker.
+        self.flushed: list[DetectionEvent] = []
         # Per-incarnation accounting: packets shipped to this incarnation
         # and packets covered by the events it reported back.  The delta at
         # loss time is the incarnation's in-flight loss.
@@ -197,31 +230,39 @@ class _Instance:
 
 
 class FlowPartitioner:
-    """Hash flows once, fan packet blocks out to N detector instances.
+    """Hash flows once, fan packet blocks out to N detector workers.
 
-    Exactly one of ``instances`` (spawn that many local instance processes
-    serving ``model_dir``) or ``endpoints`` (connect to already-running
-    instances, e.g. started with ``repro-clap serve-instance`` on other
-    hosts) must be provided.  The front-end itself never loads the model —
-    it only hashes, chunks and forwards.
+    Exactly one of ``instances`` (fork that many local workers serving
+    ``model_dir``) or ``endpoints`` (connect to already-running instances,
+    e.g. started with ``repro-clap serve-instance`` on other hosts) must be
+    provided.  ``model_dir`` is the artifact the local workers load
+    read-only (mmap); a fitted :class:`~repro.core.pipeline.Clap` given
+    instead is inherited by the forked workers as it is.  The front-end
+    itself never scores — it only hashes, chunks and forwards.
 
-    The ingest surface mirrors the runtime: :meth:`ingest` /
-    :meth:`ingest_many` / :meth:`poll` / :meth:`run`, interim events through
-    :meth:`events` / ``on_event`` / ``on_alert``, and a :meth:`close` that
-    returns the merged final drain in deterministic ``(first_seen, key)``
-    order.  ``config`` sizes each instance's internal worker pool; a global
-    ``config.max_flows`` budget is split evenly across instances just as the
-    sharded runtime splits it across workers.
+    The ingest surface: :meth:`ingest` / :meth:`ingest_many` / :meth:`poll`
+    / :meth:`run`, interim events through :meth:`events` / ``on_event`` /
+    ``on_alert``, a :meth:`flush` barrier, and a :meth:`close` that returns
+    the merged final drain in deterministic ``(first_seen, key)`` order.
+    ``config`` holds each worker's detector knobs; a global
+    ``config.max_flows`` budget is split evenly across the workers.
 
     ``on_instance_failure`` selects the failure policy (see the module
-    docstring), ``io_deadline`` bounds every socket read/write (0 disables),
-    ``max_respawns`` budgets restarts per instance, and ``fault_plan``
-    injects deterministic faults for testing.
+    docstring), ``io_deadline`` bounds every wait on a worker (0 or
+    ``None`` disables), ``max_respawns`` budgets restarts per worker, and
+    ``fault_plan`` injects deterministic faults for testing.
     """
+
+    #: What one worker is called in loss records, fault specs and process
+    #: names (``clap-instance-N``).
+    _kind = "instance"
+    _process_prefix = "clap-instance"
+    #: Frames a worker may have unanswered before the front-end waits.
+    _queue_depth = 8
 
     def __init__(
         self,
-        model_dir: str | Path | None = None,
+        model_dir: str | Path | Clap | None = None,
         *,
         instances: int | None = None,
         endpoints: Sequence[str | tuple[str, int]] | None = None,
@@ -231,7 +272,6 @@ class FlowPartitioner:
         on_event: EventCallback | None = None,
         on_alert: AlertCallback | None = None,
         metrics: StreamingMetrics | None = None,
-        start_method: str | None = None,
         on_instance_failure: str = "fail",
         max_respawns: int = 2,
         io_deadline: float | None = 30.0,
@@ -265,7 +305,16 @@ class FlowPartitioner:
                 raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
             self._chunker = None
             self._fixed_chunk = int(chunk_size)
-        self.config = config or InstanceConfig()
+        self.instances = instances if instances is not None else len(endpoints)
+        config = config or InstanceConfig()
+        if config.max_flows is not None:
+            # Split the global flow budget evenly across the workers.
+            config = dataclasses.replace(
+                config, max_flows=-(-config.max_flows // self.instances)
+            )
+        self.config = config
+        self._model = model_dir
+        self._backend = backend
         self.on_event = on_event
         self.on_alert = on_alert
         self.on_instance_failure = on_instance_failure
@@ -275,6 +324,8 @@ class FlowPartitioner:
         self._backoff = Backoff()
         self._closed = False
         self._failed = False
+        #: ``(index, reason)`` of a failure a worker reported under ``fail``.
+        self._failure: tuple[int, str] | None = None
         self._clock = float("-inf")
         self._events: deque[DetectionEvent] = deque()
         self._service_events: deque = deque()
@@ -291,184 +342,104 @@ class FlowPartitioner:
         self._degraded_flows = 0
         self._routed_total = 0
         self._scored_total = 0
-        self.instances = instances if instances is not None else len(endpoints)
         self._route = list(range(self.instances))
         self.metrics = metrics or StreamingMetrics(shard_count=self.instances)
         if self._chunker is not None:
             self.metrics.attach_chunker(self._chunker)
-        # Local-spawn state kept for respawn (None in endpoint mode).
-        self._model_dir: str | None = None
-        self._instance_config: InstanceConfig | None = None
-        self._context = None
-        self._ready_queue = None
+        # Fork, not spawn: construction returns without waiting for a fresh
+        # interpreter to import the model stack, and a forked worker can
+        # inherit an in-memory model.
+        self._context = multiprocessing.get_context("fork") if instances else None
         self._instances: list[_Instance] = []
         try:
-            if endpoints is not None:
-                self._instances = self._connect_remote(endpoints)
-            else:
-                self._instances = self._spawn_local(
-                    str(model_dir), int(instances), backend, start_method
-                )
+            for index in range(self.instances):
+                endpoint = None if endpoints is None else _parse_endpoint(endpoints[index])
+                instance = _Instance(index, endpoint)
+                self._instances.append(instance)
+                try:
+                    self._connect(instance, retry=on_instance_failure == "respawn")
+                except OSError as error:
+                    if on_instance_failure != "degrade":
+                        raise
+                    self._record_loss(instance, f"startup connect failed: {error}", "degrade")
+                    instance.lost = True
             for instance in self._instances:
                 if instance.lost:
                     self._apply_degrade(instance)
-            self._handshake()
         except BaseException:
-            # Satellite fix: never leak a partial fleet — instances that did
-            # spawn/connect before the failing one are torn down here.
+            # Never leak a partial fleet: workers that did start before the
+            # failing one are torn down here.
             self._teardown()
             raise
 
     # ----------------------------------------------------------------- set-up
-    def _connect(
-        self, index: int, address: tuple[str, int], *, retry: bool
-    ) -> socket.socket:
-        """Connect to one instance, honouring injected refusals and backoff."""
+    def _load_model(self) -> Clap:
+        """The model a local worker serves (called in the forked worker)."""
+        if isinstance(self._model, Clap):
+            return self._model
+        clap = Clap.load(self._model, mmap_mode="r")
+        return clap if self._backend is None else clap.with_backend(self._backend)
 
-        def attempt(_try_number: int) -> socket.socket:
-            if self._fault_plan is not None and self._fault_plan.connect_attempt(index):
+    def _connect(self, instance: _Instance, *, retry: bool) -> None:
+        """Fork (local) or connect (remote) one incarnation, then say hello.
+
+        Injected connection refusals apply to both; ``retry`` retries under
+        the deterministic backoff.  The hello's ``ready`` answer is read
+        later, with the first answer, so this never waits on the worker.
+        """
+
+        def attempt(_try_number: int) -> None:
+            if self._fault_plan is not None and self._fault_plan.connect_attempt(instance.index):
                 raise ConnectionRefusedError(
-                    f"injected connection refusal for instance {index}"
+                    f"injected connection refusal for {self._kind} {instance.index}"
                 )
-            sock = socket.create_connection(
-                tuple(address), timeout=self.io_deadline or _HANDSHAKE_TIMEOUT
-            )
-            sock.settimeout(None)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-
-        if retry:
-            return self._backoff.run(attempt, retry_on=(OSError,))
-        return attempt(0)
-
-    def _spawn_local(
-        self,
-        model_dir: str,
-        instances: int,
-        backend: str | None,
-        start_method: str | None,
-    ) -> list[_Instance]:
-        config = self.config
-        if config.max_flows is not None:
-            # Split the global flow budget evenly, exactly as the sharded
-            # runtime splits max_flows across its workers.
-            config = dataclasses.replace(
-                config, max_flows=-(-config.max_flows // instances)
-            )
-        method = start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        self._model_dir = model_dir
-        self._instance_config = config
-        self._context = context
-        self._ready_queue = context.Queue()
-        processes = []
-        handles: list[_Instance] = []
-        try:
-            for index in range(instances):
-                process = context.Process(
-                    target=_local_instance_main,
-                    args=(model_dir, config, _TaggedReady(self._ready_queue, index)),
-                    name=f"clap-instance-{index}",
+            if instance.endpoint is None:
+                sock, child = socket.socketpair()
+                suffix = f"r{instance.respawns}" if instance.respawns else ""
+                process = self._context.Process(
+                    target=_local_main,
+                    args=(self, sock, child),
+                    name=f"{self._process_prefix}-{instance.index}{suffix}",
                     daemon=True,
                 )
-                process.start()
-                processes.append(process)
-            addresses: dict[int, tuple] = {}
-            for _ in processes:
-                index, address = self._ready_queue.get(timeout=_HANDSHAKE_TIMEOUT)
-                addresses[index] = address
-            for index, process in enumerate(processes):
                 try:
-                    sock = self._connect(
-                        index,
-                        addresses[index],
-                        retry=self.on_instance_failure == "respawn",
-                    )
-                except OSError as error:
-                    if self.on_instance_failure != "degrade":
-                        raise
-                    handle = _Instance(index, None, process)
-                    handle.lost = True
-                    handles.append(handle)
-                    self._record_loss(handle, f"startup connect failed: {error}", "degrade")
-                    continue
-                handles.append(_Instance(index, sock, process))
-        except BaseException as error:
-            for handle in handles:
-                if handle.sock is not None:
-                    handle.sock.close()
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                self._reap(process, timeout=5.0)
-            if isinstance(error, _ReadyQueueEmpty):
-                raise RuntimeError(
-                    "local detector instance failed to start (no address reported)"
-                ) from None
-            raise
-        return handles
-
-    def _connect_remote(
-        self, endpoints: Sequence[str | tuple[str, int]]
-    ) -> list[_Instance]:
-        handles: list[_Instance] = []
-        try:
-            for index, endpoint in enumerate(endpoints):
-                address = _parse_endpoint(endpoint)
-                try:
-                    sock = self._connect(
-                        index, address, retry=self.on_instance_failure == "respawn"
-                    )
-                except OSError as error:
-                    if self.on_instance_failure != "degrade":
-                        raise
-                    handle = _Instance(index, None, endpoint=address)
-                    handle.lost = True
-                    handles.append(handle)
-                    self._record_loss(handle, f"startup connect failed: {error}", "degrade")
-                    continue
-                handles.append(_Instance(index, sock, endpoint=address))
-        except BaseException:
-            for handle in handles:
-                if handle.sock is not None:
-                    handle.sock.close()
-            raise
-        return handles
-
-    def _handshake(self) -> None:
-        deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
-        for instance in self._instances:
-            if instance.lost:
-                continue
-            try:
-                send_frame(
-                    instance.sock,
-                    TAG_CTRL,
-                    encode_control({"op": "hello"}),
-                    deadline=deadline,
+                    process.start()
+                finally:
+                    child.close()
+                instance.process = process
+            else:
+                sock = socket.create_connection(
+                    instance.endpoint, timeout=self.io_deadline or _HANDSHAKE_TIMEOUT
                 )
-            except (OSError, WireError) as error:
-                self._on_down(instance, error)
-        for instance in self._instances:
-            if instance.lost:
-                continue
+                sock.settimeout(None)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            instance.sock = sock
             try:
-                frame = recv_frame(instance.sock, deadline)
-                if frame is None or frame[0] != TAG_CTRL:
-                    raise WireError(
-                        f"instance {instance.index} failed the hello handshake"
-                    )
-                instance.ready = decode_control(frame[1])
-            except (OSError, WireError) as error:
-                self._on_down(instance, error)
+                send_frame(sock, TAG_CTRL, encode_control({"op": "hello"}),
+                           deadline=time.monotonic() + _HANDSHAKE_TIMEOUT)
+            except OSError:
+                self._close_instance(instance)
+                raise
+
+        if retry:
+            self._backoff.run(attempt, retry_on=(OSError,))
+        else:
+            attempt(0)
 
     # ------------------------------------------------------- failure handling
+    def _error(self, index: int, reason: str) -> Exception:
+        """The exception a lost or failed worker raises under ``fail``."""
+        return InstanceFailure(f"instance {index} lost ({reason})", index=index)
+
+    def _raise_failure(self) -> None:
+        """Raise a failure a worker reported under the ``fail`` policy."""
+        if self._failure is not None:
+            raise self._error(*self._failure)
+
     def _record_loss(self, instance: _Instance, reason: str, policy: str) -> None:
         record = InstanceLossRecord(
             index=instance.index,
-            kind="instance",
+            kind=self._kind,
             reason=reason,
             policy=policy,
             packets_routed=instance.routed,
@@ -479,40 +450,31 @@ class FlowPartitioner:
         self._service_events.append(
             InstanceLost(
                 index=instance.index,
-                kind="instance",
+                kind=self._kind,
                 reason=reason,
                 policy=policy,
                 packets_lost_inflight=record.packets_lost_inflight,
             )
         )
 
-    def _reap(self, process, timeout: float = 5.0) -> None:
-        """Join one child process, escalating terminate -> kill."""
-        if process is None:
-            return
-        process.join(timeout=timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=timeout)
-        if process.is_alive():  # pragma: no cover - needs an unkillable child
-            process.kill()
-            process.join(timeout=timeout)
-
     def _close_instance(self, instance: _Instance) -> None:
-        """Close one instance's socket and reap its process (idempotent)."""
+        """Close one worker's socket and reap its process (idempotent)."""
         if instance.sock is not None:
             try:
                 instance.sock.close()
             except OSError as error:  # pragma: no cover - close rarely fails
-                self._teardown_errors.append(
-                    f"instance {instance.index} socket close: {error}"
-                )
+                self._teardown_errors.append(f"{self._kind} {instance.index} socket close: {error}")
             instance.sock = None
-        if instance.process is not None:
-            if instance.process.is_alive():
-                instance.process.terminate()
-            self._reap(instance.process)
-            instance.process = None
+        process, instance.process = instance.process, None
+        if process is None:
+            return
+        # A worker whose socket closed exits on its own; escalate otherwise.
+        for stop, timeout in ((None, 1.0), (process.terminate, 5.0), (process.kill, 5.0)):
+            if stop is not None:
+                stop()
+            process.join(timeout=timeout)
+            if not process.is_alive():
+                return
 
     def _rehome(self, pending: list[tuple[Packet, float]]) -> None:
         """Requeue unsent packets onto their (possibly rerouted) owners."""
@@ -528,9 +490,7 @@ class FlowPartitioner:
         survivors = [i.index for i in self._instances if not i.lost]
         if not survivors:
             self._failed = True
-            raise InstanceFailure(
-                "every detector instance has been lost", index=instance.index
-            )
+            raise self._error(instance.index, f"every {self._kind} has been lost")
         for slot in range(self.instances):
             if self._route[slot] == instance.index:
                 self._route[slot] = survivors[slot % len(survivors)]
@@ -549,7 +509,7 @@ class FlowPartitioner:
         requeue=(),
         closing: bool = False,
     ) -> None:
-        """One instance's socket failed: apply the failure policy."""
+        """One worker's connection failed: apply the failure policy."""
         pending = list(requeue)
         pending.extend(instance.buffer)
         instance.buffer = []
@@ -560,6 +520,8 @@ class FlowPartitioner:
             return
         reason = f"{type(error).__name__}: {error}" if str(error) else type(error).__name__
         self._close_instance(instance)
+        instance.in_flight = 0
+        instance.state = {}
         policy = self.on_instance_failure
         if policy == "respawn" and closing:
             # The stream is over; a fresh incarnation has no state to drain.
@@ -573,19 +535,15 @@ class FlowPartitioner:
                 try:
                     self._respawn(instance, pending)
                     return
-                except (OSError, WireError, RuntimeError) as respawn_error:
+                except (OSError, RuntimeError) as respawn_error:
                     reason = f"{reason}; respawn failed: {respawn_error}"
                     policy = "degrade"
         if policy == "fail":
             self._record_loss(instance, reason, "fail")
             instance.lost = True
             self._failed = True
-            if self._closed:
-                self._teardown()
-            raise InstanceFailure(
-                f"instance {instance.index} lost ({reason})", index=instance.index
-            ) from error
-        # degrade
+            self._teardown()
+            raise self._error(instance.index, reason) from error
         self._record_loss(instance, reason, "degrade")
         if closing:
             instance.lost = True
@@ -595,52 +553,20 @@ class FlowPartitioner:
 
     def _respawn(self, instance: _Instance, pending: list[tuple[Packet, float]]) -> None:
         """Start a fresh incarnation of ``instance`` and re-register state."""
-        if instance.endpoint is not None:
-            sock = self._connect(instance.index, instance.endpoint, retry=True)
-        else:
-            if self._context is None or self._model_dir is None:
-                raise RuntimeError("instance is not locally respawnable")
-            process = self._context.Process(
-                target=_local_instance_main,
-                args=(
-                    self._model_dir,
-                    self._instance_config,
-                    _TaggedReady(self._ready_queue, instance.index),
-                ),
-                name=f"clap-instance-{instance.index}r{instance.respawns + 1}",
-                daemon=True,
-            )
-            process.start()
-            try:
-                _, address = self._ready_queue.get(timeout=_HANDSHAKE_TIMEOUT)
-                sock = self._connect(instance.index, address, retry=True)
-            except BaseException:
-                self._reap(process, timeout=5.0)
-                raise
-            instance.process = process
+        instance.respawns += 1
+        self._connect(instance, retry=True)
         # Fresh incarnation: reset the per-incarnation accounting (the old
         # incarnation's counters were captured in its loss record).
-        instance.sock = sock
         instance.routed = 0
         instance.scored = 0
         instance.report = None
-        instance.respawns += 1
-        deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
-        send_frame(sock, TAG_CTRL, encode_control({"op": "hello"}), deadline=deadline)
-        frame = recv_frame(sock, deadline)
-        if frame is None or frame[0] != TAG_CTRL:
-            raise WireError(
-                f"respawned instance {instance.index} failed the hello handshake"
-            )
-        instance.ready = decode_control(frame[1])
         # State re-registration: the live block window must reach the new
         # incarnation before any requeued ROWS slice references it.
         for block_id, columns in self._live_blocks.items():
-            payload = columns.pack_block()
             send_frame(
-                sock,
+                instance.sock,
                 TAG_BLCK,
-                *encode_block(block_id, payload),
+                *encode_block(block_id, columns.pack_block()),
                 deadline=time.monotonic() + (self.io_deadline or _HANDSHAKE_TIMEOUT),
             )
         instance.buffer = pending
@@ -648,41 +574,36 @@ class FlowPartitioner:
         self.metrics.record_respawn()
 
     def _apply_faults(self, count: int) -> None:
-        """Fire any process-level faults due at the current packet count."""
-        if self._fault_plan is None:
-            return
+        """Fire the kill/wedge faults due at the current packet count."""
         for kind, index in self._fault_plan.packet_routed(count):
-            instance = self._instances[index]
-            if kind == "kill-instance":
-                process = instance.process
-                if process is not None and process.pid is not None:
-                    os.kill(process.pid, signal.SIGKILL)
-            elif kind == "wedge-instance" and not instance.lost:
+            instance = self._instances[index % self.instances]
+            if instance.lost:
+                continue
+            if kind == f"kill-{self._kind}":
+                if instance.process is not None and instance.process.is_alive():
+                    os.kill(instance.process.pid, signal.SIGKILL)
+            elif kind == f"wedge-{self._kind}":
                 try:
                     send_frame(
                         instance.sock,
                         TAG_CTRL,
                         encode_control({"op": "wedge"}),
-                        deadline=time.monotonic()
-                        + (self.io_deadline or _HANDSHAKE_TIMEOUT),
+                        deadline=time.monotonic() + (self.io_deadline or _HANDSHAKE_TIMEOUT),
                     )
-                except (OSError, WireError) as error:
+                except OSError as error:
                     self._on_down(instance, error)
-            # kill-worker / wedge-worker target the runtime's shard pool and
-            # are applied by ParallelStreamingDetector, not the partitioner.
 
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
-        """Route one packet to the instance owning its flow (may block)."""
+        """Route one packet to the worker owning its flow (may block)."""
         if self._closed:
             raise RuntimeError("ingest() after close()")
-        if (
-            type(packet) is ColumnPacketView
-            and packet.columns is not self._current_columns
-        ):
+        if self._failure is not None:
+            self._raise_failure()
+        if type(packet) is ColumnPacketView and packet.columns is not self._current_columns:
             # New capture block: flush buffered rows first so queued slices
             # always precede the broadcast that may evict their block from
-            # the instances' FIFO caches.
+            # the workers' FIFO caches.
             for instance in self._instances:
                 self._guarded_submit(instance)
             self._ship_block(packet.columns)
@@ -692,7 +613,8 @@ class FlowPartitioner:
         instance.buffer.append((packet, self._clock))
         if packet.timestamp > self._clock:
             self._clock = packet.timestamp
-        self._apply_faults(1)
+        if self._fault_plan is not None:
+            self._apply_faults(1)
         if len(instance.buffer) >= self._chunk_target():
             self._guarded_submit(instance)
 
@@ -701,55 +623,67 @@ class FlowPartitioner:
             self.ingest(packet)
 
     def poll(self, now: float | None = None) -> None:
-        """Advance stream time on every instance without a packet."""
+        """Advance stream time on every worker without a packet."""
         if self._closed:
             return
+        self._raise_failure()
         now = self._clock if now is None else float(now)
         if now == float("-inf"):
             return
         if now > self._clock:
             self._clock = now
-        payload = encode_control({"op": "poll", "now": now})
+        self._broadcast({"op": "poll", "now": now})
+
+    def run(self, source: PacketSource) -> list[DetectionEvent]:
+        """Consume a packet source to exhaustion, then :meth:`close`."""
+        return run_source(self, source, self._teardown_errors)
+
+    def flush(self) -> list[DetectionEvent]:
+        """Score everything buffered on every worker (barrier).
+
+        Returns the events the flush produced, in deterministic order; they
+        are not queued for :meth:`events` again.
+        """
+        if self._closed:
+            return []
+        self._raise_failure()
+        self._broadcast({"op": "flush"})
+        flushed: list[DetectionEvent] = []
+        for instance in self._instances:
+            if not instance.lost:
+                self._settle(instance, lambda i=instance: i.in_flight == 0)
+            flushed.extend(instance.flushed)
+            instance.flushed = []
+        self._raise_failure()
+        return sorted(flushed, key=event_order)
+
+    def _broadcast(self, record: dict[str, object]) -> None:
+        """Ship every buffer, then one answered control op to every worker."""
+        payload = encode_control(record)
         for instance in self._instances:
             if instance.lost:
                 continue
             try:
                 self._submit(instance)
-                self._send(instance, TAG_CTRL, payload)
+                self._send(instance, TAG_CTRL, payload, answered=True)
             except _InstanceDown as down:
-                self._on_down(instance, down.error, requeue=down.requeue)
-
-    def run(self, source: PacketSource) -> list[DetectionEvent]:
-        """Consume a packet source to exhaustion, then :meth:`close`."""
-        try:
-            for item in source:
-                if isinstance(item, Tick):
-                    self.poll(item.now)
-                else:
-                    self.ingest(item)
-        except BaseException:
-            try:
-                self.close()
-            except Exception as teardown_error:
-                # Teardown must not mask the original stream error; keep it
-                # for the degradation report instead.
-                self._teardown_errors.append(
-                    f"close during error teardown: {teardown_error!r}"
-                )
-            raise
-        return self.close()
+                self._on_down(down.instance, down.error, requeue=down.requeue)
 
     # -------------------------------------------------------------- transport
     def _chunk_target(self) -> int:
         return self._fixed_chunk if self._chunker is None else self._chunker.size
 
-    def _send(self, instance: _Instance, tag: bytes, *chunks) -> None:
-        """One frame to one instance: pump events first, note backpressure."""
+    def _send(self, instance: _Instance, tag: bytes, *chunks, answered: bool = False) -> None:
+        """One frame to one worker, within the bound on unanswered frames."""
         self._pump()
         if instance.lost or instance.sock is None:
             raise _InstanceDown(
-                instance, ConnectionError(f"instance {instance.index} is lost")
+                instance, ConnectionError(f"{self._kind} {instance.index} is lost")
             )
+        if answered:
+            self._wait(instance, lambda: instance.in_flight < self._queue_depth)
+        if sum(len(chunk) for chunk in chunks) >= _IDLE_SEND_BYTES:
+            self._wait(instance, lambda: instance.in_flight == 0)
         if self._fault_plan is not None:
             action = self._fault_plan.frame_fault(tag.decode("ascii"))
             if action == "drop":
@@ -758,22 +692,50 @@ class FlowPartitioner:
                 chunks = (self._fault_plan.corrupt(b"".join(bytes(c) for c in chunks)),)
             elif isinstance(action, tuple) and action[0] == "delay":
                 time.sleep(action[1])
-        if self._chunker is not None:
-            _, writable, _ = select.select((), (instance.sock,), (), 0)
-            if not writable:
-                # The socket's send buffer is full — the instance is behind.
-                # sendall below then blocks, which is the backpressure
-                # contract; record it so the chunker grows the chunk.
-                self._chunker.record_backpressure()
-        deadline = (
-            time.monotonic() + self.io_deadline if self.io_deadline else None
-        )
+        deadline = time.monotonic() + self.io_deadline if self.io_deadline else None
         try:
             send_frame(instance.sock, tag, *chunks, deadline=deadline)
-        except (OSError, WireError) as error:
-            raise _InstanceDown(instance, error) from None
+        except OSError as error:
+            raise _InstanceDown(instance, self._died(instance, error)) from None
+        if answered:
+            instance.in_flight += 1
+            self.metrics.record_queue_depth(instance.in_flight)
         if self._chunker is not None:
             self._chunker.record_submit()
+
+    def _wait(self, instance: _Instance, done: Callable[[], bool]) -> None:
+        """Read ``instance``'s answers until ``done()``.
+
+        A worker that leaves its frames unanswered past ``io_deadline`` is
+        wedged; one whose connection closes has died.  Either raises
+        :class:`_InstanceDown`.  A wait longer than one slice is reported to
+        the chunker as backpressure.
+        """
+        started = time.monotonic()
+        backpressure = False
+        while not done():
+            readable, _, _ = select.select([instance.sock], (), (), _WAIT_SLICE)
+            if readable:
+                self._read(instance)
+                continue
+            if not backpressure and self._chunker is not None:
+                self._chunker.record_backpressure()
+            backpressure = True
+            if self.io_deadline and time.monotonic() - started > self.io_deadline:
+                raise _InstanceDown(
+                    instance,
+                    WireTimeout(
+                        f"{self._kind} {instance.index} wedged: no answer for "
+                        f"{self.io_deadline:.1f}s"
+                    ),
+                )
+
+    def _settle(self, instance: _Instance, done: Callable[[], bool], closing: bool = False) -> None:
+        """:meth:`_wait`, with a loss handed to the failure policy."""
+        try:
+            self._wait(instance, done)
+        except _InstanceDown as down:
+            self._on_down(instance, down.error, closing=closing)
 
     def _guarded_submit(self, instance: _Instance) -> None:
         try:
@@ -782,7 +744,7 @@ class FlowPartitioner:
             self._on_down(down.instance, down.error, requeue=down.requeue)
 
     def _submit(self, instance: _Instance) -> None:
-        """Ship one instance's buffered rows as ROWS/PKTS runs (in order)."""
+        """Ship one worker's buffered rows as ROWS/PKTS runs (in order)."""
         chunk = instance.buffer
         if not chunk or instance.lost:
             return
@@ -799,20 +761,11 @@ class FlowPartitioner:
             nonlocal run_columns
             if run_columns is not None:
                 covered = list(run_rows)
+                indices = np.asarray([p.index for p, _ in covered], dtype=np.int64)
+                clocks = np.asarray([c for _, c in covered], dtype=np.float64)
                 messages.append(
-                    (
-                        TAG_ROWS,
-                        encode_rows(
-                            id(run_columns),
-                            np.asarray(
-                                [p.index for p, _ in covered], dtype=np.int64
-                            ).tobytes(),
-                            np.asarray(
-                                [c for _, c in covered], dtype=np.float64
-                            ).tobytes(),
-                        ),
-                        covered,
-                    )
+                    (TAG_ROWS, encode_rows(id(run_columns), indices.tobytes(), clocks.tobytes()),
+                     covered)
                 )
                 run_columns = None
                 run_rows.clear()
@@ -820,20 +773,8 @@ class FlowPartitioner:
         def close_object_run() -> None:
             if object_run:
                 covered = list(object_run)
-                messages.append(
-                    (
-                        TAG_PKTS,
-                        (
-                            encode_packets(
-                                [
-                                    (p.timestamp, p.to_bytes().hex(), clock)
-                                    for p, clock in covered
-                                ]
-                            ),
-                        ),
-                        covered,
-                    )
-                )
+                records = [(p.timestamp, p.to_bytes().hex(), clock) for p, clock in covered]
+                messages.append((TAG_PKTS, (encode_packets(records),), covered))
                 object_run.clear()
 
         for packet, clock in chunk:
@@ -844,7 +785,7 @@ class FlowPartitioner:
                     close_object_run()
                     if id(columns) not in self._live_blocks:
                         # Block left the FIFO window (or was buffered before
-                        # first sight); re-broadcast to every instance.
+                        # first sight); re-broadcast to every worker.
                         messages.append((TAG_BLCK, columns, []))
                     run_columns = columns
                 run_rows.append((packet, clock))
@@ -860,7 +801,7 @@ class FlowPartitioner:
                 if tag == TAG_BLCK:
                     self._ship_block(body)
                     continue
-                self._send(instance, tag, *body)
+                self._send(instance, tag, *body, answered=True)
                 shipped = len(covered)
                 covered_count += shipped
                 instance.routed += shipped
@@ -881,13 +822,12 @@ class FlowPartitioner:
                 self.metrics.record_ingest(instance.index, covered_count)
 
     def _ship_block(self, columns: PacketColumns) -> None:
-        """Broadcast one capture block to every live instance (first sight only).
+        """Broadcast one capture block to every live worker (first sight only).
 
-        FIFO eviction by ship order, never refreshed on re-sight, for the
-        same reason as the process runtime: the instances evict their
-        unpacked caches in broadcast arrival order, and only identical FIFO
-        windows on both sides keep a queued row slice guaranteed to find its
-        block cached.
+        Eviction is strictly FIFO by ship order, never refreshed on re-sight:
+        the workers evict their unpacked caches in broadcast arrival order,
+        and only identical FIFO windows on both sides keep a queued row
+        slice guaranteed to find its block cached.
         """
         block_id = id(columns)
         if block_id in self._live_blocks:
@@ -904,20 +844,18 @@ class FlowPartitioner:
                 downs.append(down)
         self.metrics.record_shm_segment(len(payload), len(self._live_blocks) + 1)
         self._live_blocks[block_id] = columns
-        while len(self._live_blocks) > _BLOCK_CACHE_DEPTH:
+        while len(self._live_blocks) > BLOCK_CACHE_DEPTH:
             self._live_blocks.popitem(last=False)
         for down in downs:
             self._on_down(down.instance, down.error, requeue=down.requeue)
 
     def _pump(self) -> None:
-        """Drain every readable instance socket (interim EVNT frames)."""
+        """Read every frame the workers have already sent."""
         while True:
             by_sock = {
                 instance.sock: instance
                 for instance in self._instances
-                if not instance.lost
-                and instance.sock is not None
-                and instance.report is None
+                if not instance.lost and instance.sock is not None and instance.report is None
             }
             if not by_sock:
                 return
@@ -926,56 +864,96 @@ class FlowPartitioner:
                 return
             for sock in readable:
                 instance = by_sock[sock]
+                if instance.sock is not sock:
+                    continue  # replaced while an earlier socket was handled
                 try:
-                    self._read_frame(instance)
+                    self._read(instance)
                 except _InstanceDown as down:
                     self._on_down(instance, down.error)
 
-    def _read_frame(self, instance: _Instance, deadline: float | None = None) -> bool:
-        """Read one frame from ``instance``; ``True`` once DONE arrived."""
+    def _read(self, instance: _Instance, deadline: float | None = None) -> None:
+        """Read and apply one frame from ``instance``."""
         if deadline is None and self.io_deadline:
             # Even a select()-readable socket may hold only part of a frame;
             # bound the completion read so a wedged peer cannot hang ingest.
             deadline = time.monotonic() + self.io_deadline
         try:
             frame = recv_frame(instance.sock, deadline)
-        except (OSError, WireError) as error:
-            raise _InstanceDown(instance, error) from None
-        if frame is None:
-            raise _InstanceDown(
-                instance,
-                WireError(
-                    f"instance {instance.index} closed its connection mid-stream"
-                ),
-            )
-        tag, payload = frame
-        if tag == TAG_EVNT:
-            events = decode_events(payload)
-            scored = sum(event.result.packet_count for event in events)
-            instance.scored += scored
-            self._scored_total += scored
-            self._dispatch(events)
-            return False
+            if frame is None:
+                raise self._died(instance)
+            tag, payload = frame
+            if tag == TAG_EVNT:
+                state, events, flushed = decode_answer(payload)
+            elif tag == TAG_CTRL:
+                record = decode_control(payload)
+            elif tag == TAG_DONE:
+                report = json.loads(bytes(payload).decode("utf-8"))
+                state, events = report["state"], [event_from_dict(e) for e in report["events"]]
+            else:
+                raise WireError(f"unexpected frame tag {bytes(tag)!r} at front-end")
+        except (OSError, ValueError, KeyError) as error:
+            raise _InstanceDown(instance, self._died(instance, error)) from None
+        if tag == TAG_CTRL:
+            if record["op"] == "ready":
+                instance.ready = record
+            elif record["op"] == "failed":
+                reason = f"{self._kind} reported failure: {record.get('error')}"
+                if self.on_instance_failure != "fail":
+                    raise _InstanceDown(instance, RuntimeError(reason))
+                self._failure = self._failure or (instance.index, reason)
+            return
+        self._absorb(instance, state, events)
         if tag == TAG_DONE:
-            instance.report = json.loads(bytes(payload).decode("utf-8"))
-            return True
-        raise _InstanceDown(
-            instance, WireError(f"unexpected frame tag {bytes(tag)!r} at front-end")
+            report["events"] = self._mark_degraded(events)
+            instance.report = report
+            return
+        instance.in_flight -= 1
+        if flushed:
+            instance.flushed.extend(self._mark_degraded(events[len(events) - flushed:]))
+            events = events[: len(events) - flushed]
+        self._dispatch(events)
+
+    def _died(self, instance: _Instance, error: Exception | None = None) -> Exception:
+        """Name a connection that closed or reset under the worker's death."""
+        if error is not None and not isinstance(error, (ConnectionResetError, BrokenPipeError)):
+            return error
+        return WireError(
+            f"{self._kind} {instance.index} died unexpectedly (connection closed mid-stream)"
         )
 
-    def _dispatch(self, events: list[DetectionEvent]) -> list[DetectionEvent]:
+    def _absorb(self, instance: _Instance, state: dict, events: list[DetectionEvent]) -> None:
+        """Take in one worker's latest metrics state and scored packets."""
+        instance.state = state
+        self.metrics.absorb_worker_state(instance.index, state)
+        scored = sum(event.result.packet_count for event in events)
+        instance.scored += scored
+        self._scored_total += scored
+
+    def _mark_degraded(self, events: list[DetectionEvent]) -> list[DetectionEvent]:
+        """Flag events whose home worker was lost (scored by a survivor)."""
+        if not self._degraded_slots:
+            return events
         out: list[DetectionEvent] = []
-        alerts = 0
-        degraded = 0
         for event in events:
-            if self._degraded_slots and event.result.key is not None:
-                slot = hash(event.result.key) % self.instances
-                if slot in self._degraded_slots and not event.result.degraded:
-                    event = dataclasses.replace(
-                        event,
-                        result=dataclasses.replace(event.result, degraded=True),
-                    )
-                    degraded += 1
+            key = event.result.key
+            if (
+                key is not None
+                and hash(key) % self.instances in self._degraded_slots
+                and not event.result.degraded
+            ):
+                event = dataclasses.replace(
+                    event, result=dataclasses.replace(event.result, degraded=True)
+                )
+                self._degraded_flows += 1
+                self.metrics.record_degraded_flows()
+            out.append(event)
+        return out
+
+    def _dispatch(self, events: list[DetectionEvent]) -> None:
+        if not events:
+            return
+        alerts = 0
+        for event in self._mark_degraded(events):
             self._connections_seen += 1
             is_alert = event.is_alert
             if is_alert:
@@ -986,23 +964,15 @@ class FlowPartitioner:
                 self.on_event(event)
             if is_alert and self.on_alert is not None:
                 self.on_alert(event)  # type: ignore[arg-type]
-            out.append(event)
-        if degraded:
-            self._degraded_flows += degraded
-            self.metrics.record_degraded_flows(degraded)
-        self.metrics.record_events(len(out), alerts)
-        return out
+        self.metrics.record_events(len(events), alerts)
 
     # ----------------------------------------------------------------- output
     def events(self) -> Iterator[DetectionEvent]:
         """Drain the events received since the last call (non-blocking)."""
         if not self._closed:
             self._pump()
-        while True:
-            try:
-                yield self._events.popleft()
-            except IndexError:
-                return
+        while self._events:
+            yield self._events.popleft()
 
     def alerts(self) -> Iterator[Alert]:
         for event in self.events():
@@ -1011,27 +981,23 @@ class FlowPartitioner:
 
     def service_events(self) -> Iterator:
         """Drain typed service events (InstanceLost / DegradedMode)."""
-        while True:
-            try:
-                yield self._service_events.popleft()
-            except IndexError:
-                return
+        while self._service_events:
+            yield self._service_events.popleft()
 
     def close(self) -> list[DetectionEvent]:
-        """End of stream: drain every instance, merge the final events.
+        """End of stream: drain every worker, merge the final events.
 
         Returns the merged final drains sorted by ``(first_seen, key)`` —
         the same deterministic order a single unpartitioned detector's
-        :meth:`close` produces.  Local instance processes are joined; the
-        per-instance ``DONE`` reports (metrics, occupancy, peaks) stay
-        available as :attr:`instance_reports`.
+        :meth:`close` produces.  Local workers are joined; the per-worker
+        ``DONE`` reports (metrics, occupancy, peaks) stay available as
+        :attr:`instance_reports`.
 
         Under ``respawn``/``degrade``, a mid-close fault never raises: the
-        affected instance's loss is recorded (deadline-bounded DONE waits,
-        so a wedged peer cannot hang shutdown) and the surviving events are
+        affected worker's loss is recorded (deadline-bounded DONE waits, so
+        a wedged peer cannot hang shutdown) and the surviving events are
         returned; consult :meth:`degradation_report` afterwards.  Under
-        ``fail`` the fleet is torn down and
-        :class:`~repro.serve.supervise.InstanceFailure` is raised.
+        ``fail`` the fleet is torn down and the failure raised.
         """
         if self._closed:
             return []
@@ -1041,18 +1007,14 @@ class FlowPartitioner:
             return []
         final_clock = self._clock
         close_payload = encode_control({"op": "close"})
-        poll_payload = (
-            encode_control({"op": "poll", "now": final_clock})
-            if final_clock > float("-inf")
-            else None
-        )
         for instance in self._instances:
             if instance.lost:
                 continue
             try:
                 self._submit(instance)
-                if poll_payload is not None:
-                    self._send(instance, TAG_CTRL, poll_payload)
+                if final_clock > float("-inf"):
+                    poll = encode_control({"op": "poll", "now": final_clock})
+                    self._send(instance, TAG_CTRL, poll, answered=True)
                 self._send(instance, TAG_CTRL, close_payload)
             except _InstanceDown as down:
                 self._on_down(instance, down.error, requeue=down.requeue, closing=True)
@@ -1060,42 +1022,27 @@ class FlowPartitioner:
         for instance in self._instances:
             if instance.lost or instance.sock is None:
                 continue
-            deadline = (
-                time.monotonic() + self.io_deadline if self.io_deadline else None
-            )
-            try:
-                while instance.report is None:
-                    self._read_frame(instance, deadline)
-            except _InstanceDown as down:
-                self._on_down(instance, down.error, closing=True)
-                continue
-            report_events = [
-                event_from_dict(record)
-                for record in instance.report.get("events", ())
-            ]
-            scored = sum(event.result.packet_count for event in report_events)
-            instance.scored += scored
-            self._scored_total += scored
-            final.extend(report_events)
+            self._settle(instance, lambda i=instance: i.report is not None, closing=True)
+            if instance.report is not None:
+                final.extend(instance.report["events"])
         if self.config.drop_policy is None:
-            # Honest accounting: any routed packet an instance never scored
+            # Honest accounting: any routed packet a worker never scored
             # (e.g. a silently dropped frame) is attributed, keeping
             # packets_routed = packets_scored + packets_lost_inflight exact.
             # With a drop policy, capacity-dropped flows are legitimately
             # unscored, so residuals are not attributable to faults.
             for instance in self._instances:
-                if instance.lost:
-                    continue
                 residual = instance.routed - instance.scored
-                if residual > 0:
+                if not instance.lost and residual > 0:
                     self._record_loss(
                         instance,
                         f"{residual} routed packets unaccounted at close",
                         self.on_instance_failure,
                     )
-        final.sort(key=_event_order)
-        final = self._dispatch(final)
+        final.sort(key=event_order)
+        self._dispatch(final)
         self._teardown()
+        self._raise_failure()
         return final
 
     def degradation_report(self) -> DegradationReport:
@@ -1108,7 +1055,7 @@ class FlowPartitioner:
         )
 
     def _teardown(self) -> None:
-        """Close every socket and reap every child process (idempotent)."""
+        """Close every socket and reap every worker process (idempotent)."""
         for instance in self._instances:
             self._close_instance(instance)
 
@@ -1123,65 +1070,70 @@ class FlowPartitioner:
 
     @property
     def threshold(self) -> float:
-        """The (shared) operating threshold reported by the instances."""
+        """The (shared) operating threshold reported by the workers."""
         for instance in self._instances:
+            if instance.ready is None and not instance.lost and instance.sock is not None:
+                self._settle(
+                    instance, lambda i=instance: i.ready is not None or self._failure is not None
+                )
             if instance.ready is not None:
                 return float(instance.ready.get("threshold", float("nan")))
         return float("nan")
 
     @property
     def instance_reports(self) -> list[dict[str, object]]:
-        """Each instance's DONE report (valid after :meth:`close`)."""
+        """Each worker's DONE report (valid after :meth:`close`)."""
         return [instance.report or {} for instance in self._instances]
 
+    @property
+    def pending_connections(self) -> int:
+        """Completed connections buffered on the workers, as last reported."""
+        return sum(int(instance.state.get("pending", 0)) for instance in self._instances)
+
+    @property
+    def active_flows(self) -> int:
+        """Connections being assembled on the workers, as last reported."""
+        return sum(self.occupancy())
+
     def occupancy(self) -> list[int]:
-        """Final tracked connections per instance (from the DONE reports)."""
-        return [
-            sum(int(n) for n in (instance.report or {}).get("occupancy", ()))
-            for instance in self._instances
-        ]
+        """Tracked connections per worker, as last reported."""
+        return [int(instance.state.get("active_flows", 0)) for instance in self._instances]
 
     def peak_occupancy(self) -> list[int]:
-        """Peak concurrently tracked connections per instance."""
+        """Peak concurrently tracked connections per worker."""
         return [
             int((instance.report or {}).get("peak_occupancy", 0))
             for instance in self._instances
         ]
 
     def metrics_snapshot(self) -> dict:
-        """Front-end metrics plus every instance's own snapshot."""
-        snapshot = self.metrics.snapshot(self.occupancy() if self._closed else None)
+        """Metrics across the front-end and every worker."""
+        if not self._closed:
+            self._pump()
+        snapshot = self.metrics.snapshot(self.occupancy())
         snapshot["instances"] = [
             (instance.report or {}).get("metrics") for instance in self._instances
         ]
-        degradation = snapshot.get("degradation")
-        if isinstance(degradation, dict):
-            degradation["packets_routed"] = self._routed_total
-            degradation["packets_scored"] = self._scored_total
+        degradation = snapshot["degradation"]
+        degradation["packets_routed"] = self._routed_total
+        degradation["packets_scored"] = self._scored_total
         return snapshot
 
     def render_metrics(self) -> str:
-        """Human-readable front-end summary plus per-instance peaks."""
-        lines = [self.metrics.render(self.occupancy() if self._closed else None)]
+        """Human-readable summary plus per-worker peaks."""
+        if not self._closed:
+            self._pump()
+        lines = [self.metrics.render(self.occupancy())]
         for instance in self._instances:
             report = instance.report
-            if report is None:
-                continue
-            lines.append(
-                f"instance[{instance.index}]: connections={report.get('connections_seen', 0)} "
-                f"alerts={report.get('alerts_emitted', 0)} "
-                f"peak-occupancy={report.get('peak_occupancy', 0)}"
-            )
+            if report is not None:
+                lines.append(
+                    f"{self._kind}[{instance.index}]: "
+                    f"connections={report.get('connections_seen', 0)} "
+                    f"alerts={report.get('alerts_emitted', 0)} "
+                    f"peak-occupancy={report.get('peak_occupancy', 0)}"
+                )
         return "\n".join(lines)
 
 
-def format_event_line(event: DetectionEvent) -> str:
-    """One NDJSON line per event — shared by the CLI and the smoke tests."""
-    return json.dumps(event.to_dict())
-
-
-__all__ = [
-    "FlowPartitioner",
-    "InstanceConfig",
-    "format_event_line",
-]
+__all__ = ["FlowPartitioner", "event_order", "run_source"]

@@ -1,500 +1,106 @@
-"""Sharded parallel streaming runtime: N shard workers as threads or processes.
+"""Streaming front door: one in-process detector, or N local worker processes.
 
-:class:`ParallelStreamingDetector` scales the single-threaded
-:class:`~repro.serve.streaming.StreamingDetector` out to N workers while
-keeping its contract.  The layering:
+:class:`ParallelStreamingDetector` keeps the
+:class:`~repro.serve.streaming.StreamingDetector` contract at any worker
+count.  It picks one of two paths and delegates to it:
 
-* the ingest thread (the caller) routes each packet to the shard owning its
-  flow key (``hash(FlowKey) % workers``, the same partition a
-  :class:`~repro.netstack.flow.ShardedFlowTable` uses) and hands it over in
-  chunks through a bounded per-shard queue — a full queue blocks ingestion,
-  which **is** the backpressure signal;
-* each shard worker owns one :class:`~repro.netstack.flow.FlowTable` shard
-  and its own pending buffer: it assembles connections, applies the
-  :class:`~repro.serve.metrics.DropPolicy` to capacity evictions, and pushes
-  completed connections through the batched inference engine under the
-  :class:`~repro.serve.streaming.FlushPolicy`;
-* every worker funnels its events into one ordered dispatch consumed via
-  :meth:`events` / the ``on_event``/``on_alert`` callbacks (invoked under a
-  dispatch lock, so callbacks never run concurrently).
-
-``worker_mode`` selects the worker substrate:
-
-* ``"thread"`` (the default) spawns one :class:`threading.Thread` per shard
-  sharing the caller's engine.  Scoring is NumPy-dominated, so threads
-  overlap engine calls — but flow assembly and everything else Python-level
-  still serialises on the GIL.
-* ``"process"`` spawns one OS process per shard.  Every worker loads the
-  model **read-only** from the artifact directory with ``mmap_mode="r"``
-  (all workers share one page-cache copy of the ``.npz``), receives columnar
-  work as :meth:`~repro.netstack.columns.PacketColumns.pack_block` wire
-  blocks — broadcast once per capture block, shared-memory-backed for large
-  payloads, with per-chunk row-index slices riding the per-shard queues —
-  and funnels events back through a result queue into the same ordered
-  dispatch.  ``workers=4`` then means four cores, not four threads sharing
-  one GIL.  :class:`~repro.serve.metrics.StreamingMetrics` aggregates across
-  the pool by merging per-worker counter structs on snapshot.
+* ``worker_mode="thread"`` (the default) with ``workers=1`` — the
+  single-threaded detector runs on the caller's thread, exactly as a plain
+  ``StreamingDetector``.  Asking for more than one worker in this mode is an
+  error: thread shards shared one GIL and were slower than one worker on
+  every host measured, so they are gone.
+* ``worker_mode="process"`` — the one multi-worker transport,
+  :class:`~repro.serve.partition.FlowPartitioner`, over ``workers`` forked
+  local workers.  Each worker loads the model **read-only** from the
+  artifact directory with ``mmap_mode="r"`` (all workers share one
+  page-cache copy of the ``.npz``), or inherits ``clap`` across the fork
+  when no ``model_dir`` is given.  Capture blocks cross a
+  ``socket.socketpair()`` per worker as packed
+  :meth:`~repro.netstack.columns.PacketColumns.pack_block` frames,
+  broadcast once per block, with per-chunk row slices behind them; events
+  and each worker's metrics state come back on the same socket.
+  ``workers=1`` still moves scoring off the ingest thread.
 
 Equivalence guarantee: on a time-ordered capture the runtime emits the same
 set of :class:`~repro.serve.events.DetectionEvent`\\ s — same connection
-keys, scores within 1e-9 — at any worker count **and in either worker
-mode**, and :meth:`close` returns the end-of-stream drain in deterministic
-``(first_seen, key)`` order (``tests/serve/test_runtime.py``,
-``tests/serve/test_process_runtime.py``).  With ``workers=1`` in thread mode
-no workers are spawned at all: the runtime delegates to a plain
-``StreamingDetector``, keeping today's single-threaded behaviour
-bit-identical.  Process mode always spawns its workers — even ``workers=1``
-moves scoring off the ingest thread, which is the point.
+keys, scores within 1e-9 — at any worker count, and :meth:`close` returns
+the end-of-stream drain in deterministic ``(first_seen, key)`` order
+(``tests/serve/test_runtime.py``, ``tests/serve/test_process_runtime.py``).
 
-Fault tolerance (process mode): ``on_worker_failure`` selects what happens
-when a shard worker process dies, wedges past ``stall_deadline``, or reports
-an internal failure — ``"fail"`` (the historical behaviour: the failure is
-raised on the next ingest/flush/close, every worker still joined), ``"respawn"``
-(the dead worker is replaced from its :class:`_WorkerSpec`, live blocks are
-re-broadcast to the new incarnation, and work that was in flight through the
-dead queue is recorded as a known loss), or ``"degrade"`` (the dead shard's
-future flows are rehashed onto the survivors and their events carry
-``DetectionResult.degraded=True``).  Every loss is recorded as an
-:class:`~repro.serve.supervise.InstanceLossRecord` with ``kind="worker"`` and
-counted into the metrics degradation section.  Thread mode is fail-only:
-threads cannot be killed or respawned, so any other policy is rejected at
-construction.
+Fault tolerance (process mode) is the front-end's: ``on_worker_failure``
+selects ``"fail"`` (a :class:`RuntimeError` naming the shard worker, with
+every worker reaped), ``"respawn"`` (the worker is forked again and the live
+blocks re-shipped) or ``"degrade"`` (its flows are rehashed onto the
+survivors and their events carry ``DetectionResult.degraded=True``).
+``stall_deadline`` bounds every wait on a worker, so a wedged worker is
+declared lost instead of blocking ingestion.  Every loss is recorded as an
+:class:`~repro.serve.supervise.InstanceLossRecord` with ``kind="worker"``.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
-import os
-import queue
-import shutil
-import signal
-import tempfile
-import threading
-import time
-import weakref
-from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
-from pathlib import Path
 from collections.abc import Iterable, Iterator
-
-import numpy as np
+from pathlib import Path
 
 from repro.core.pipeline import Clap
-from repro.netstack.columns import (
-    BlockLease,
-    ColumnPacketView,
-    PacketColumns,
-    unpack_block,
-)
-from repro.netstack.flow import (
-    CompletionReason,
-    Connection,
-    FlowKey,
-    FlowTable,
-    ShardedFlowTable,
-    flow_key_of,
-)
 from repro.netstack.packet import Packet
 from repro.serve.events import Alert, DetectionEvent
-from repro.serve.metrics import (
-    AdaptiveChunker,
-    DropPolicy,
-    StreamingMetrics,
-    apply_drop_policy,
-)
 from repro.serve.faults import FaultPlan
-from repro.serve.sources import PacketSource, Tick
-from repro.serve.supervise import (
-    DegradationReport,
-    FailurePolicy,
-    InstanceLossRecord,
-)
+from repro.serve.instance import InstanceConfig
+from repro.serve.metrics import AdaptiveChunker, DropPolicy, StreamingMetrics
+from repro.serve.partition import FlowPartitioner, event_order, run_source
+from repro.serve.sources import PacketSource
 from repro.serve.streaming import (
     AlertCallback,
     EventCallback,
     FlushPolicy,
     StreamingDetector,
-    drain_pending,
 )
-
-try:  # pragma: no cover - available on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None  # type: ignore[assignment]
-
-_CLOSE = object()
-
-#: Blocks whose packed payload is at least this large travel through POSIX
-#: shared memory (one write, N readers) instead of being pickled into every
-#: worker's queue pipe.
-_SHM_MIN_BYTES = 64 * 1024
-
-#: How many capture blocks parent and workers keep unpacked.  The parent
-#: broadcasts every block to every worker in the same order, so both sides
-#: evict in lockstep and a queued row slice always finds its block cached.
-_BLOCK_CACHE_DEPTH = 8
-
-_WORKER_JOIN_TIMEOUT = 10.0
+from repro.serve.supervise import DegradationReport, FailurePolicy
 
 
-def _emit_nothing(events: list[DetectionEvent]) -> None:
-    """Dispatch sink for the final drain: close() dispatches it sorted."""
+class _WorkerPool(FlowPartitioner):
+    """The front-end over local workers, named and failing as shard workers."""
 
+    _kind = "worker"
+    _process_prefix = "clap-shard"
 
-def _event_order(event: DetectionEvent) -> tuple[float, str]:
-    """Deterministic event ordering: stream arrival, then connection key."""
-    return (event.first_seen, str(event.result.key))
+    def __init__(self, model: str | Path | Clap, queue_depth: int, **options) -> None:
+        self._queue_depth = queue_depth
+        super().__init__(model, **options)
 
-
-class _Flush:
-    """Flush barrier token: the worker fills ``events`` and sets ``done``."""
-
-    def __init__(self) -> None:
-        self.events: list[DetectionEvent] = []
-        self.done = threading.Event()
-
-
-class _Poll:
-    """Advance a shard's stream clock without a packet."""
-
-    def __init__(self, now: float) -> None:
-        self.now = now
-
-
-class _Shard:
-    """One thread worker's private state: flow-table shard, pending, queue."""
-
-    def __init__(
-        self,
-        index: int,
-        table: FlowTable,
-        queue_depth: int,
-        admission=None,
-    ) -> None:
-        self.index = index
-        self.table = table
-        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
-        self.pending: list[tuple[Connection, CompletionReason]] = []
-        self.final_events: list[DetectionEvent] = []
-        self.failure: BaseException | None = None
-        self.thread: threading.Thread | None = None
-        # Per-worker mutable subnet-budget counters for the drop policy.
-        self.admission = admission
-
-
-# ---------------------------------------------------------------------------
-# Process worker side
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything a process shard worker needs, shipped picklable at spawn."""
-
-    index: int
-    model_dir: str
-    threshold: float
-    top_n: int
-    policy: FlushPolicy
-    drop_policy: DropPolicy | None
-    idle_timeout: float
-    close_grace: float
-    max_flows: int | None
-    max_packets: int | None
-    block_cache: int = _BLOCK_CACHE_DEPTH
-    #: Incarnation counter: bumped on every respawn so the parent can drop
-    #: stale result-queue messages posted by a dead predecessor.
-    generation: int = 0
-
-
-def _attach_block(
-    ref: tuple, retired: list
-) -> tuple[bytes | memoryview, BlockLease | None, int]:
-    """Attach a block reference shipped by the parent (worker side).
-
-    Shared-memory refs are **mapped, not copied**: the returned payload is a
-    memoryview straight into the segment, and the returned
-    :class:`~repro.netstack.columns.BlockLease` keeps the segment mapped for
-    the block's whole lifetime — the parent is free to unlink the segment
-    after the ack (a POSIX mapping survives the unlink), and the worker
-    appends the segment to ``retired`` only once every column view on it has
-    been dropped (the lease's ``on_release``).  ``retired`` segments are then
-    closed by the worker loop, retrying while NumPy still exports the
-    mapping.
-
-    Pipe-shipped refs (small blocks) arrive as bytes the queue already
-    copied; the byte count is returned so the copy is visible in metrics.
-    Returns ``(payload, lease, copied_bytes)``.
-    """
-    if ref[0] == "bytes":
-        return ref[1], None, len(ref[1])
-    name, size = ref[1], ref[2]
-    # Attaching re-registers the segment with the resource tracker
-    # (bpo-39959), but multiprocessing-spawned workers share the parent's
-    # tracker process, whose registry is a set — the duplicate is harmless
-    # and the parent's unlink() clears the single entry.
-    segment = _shared_memory.SharedMemory(name=name)
-    lease = BlockLease(on_release=functools.partial(retired.append, segment))
-    return segment.buf[:size], lease, 0
-
-
-def _post(out_queue, message: tuple) -> None:
-    """Report a worker result to the parent over the (unbounded) result queue.
-
-    An unbounded ``multiprocessing.Queue`` put never blocks on capacity, so
-    this is the one audited place a queue call may omit a deadline.
-    """
-    # clap-lint: allow[RL007] reason=result queue is unbounded; put cannot block on capacity
-    out_queue.put(message)
-
-
-def _take(work_queue: queue.Queue) -> object:
-    """Bounded get on an in-process shard queue, looped to a chopped deadline.
-
-    The producer is the ingest thread in this very process — it cannot die
-    independently of the consumer — so the chopped timeout never changes
-    behaviour; it only keeps every wait in the serving layer bounded.
-    """
-    while True:
-        try:
-            return work_queue.get(timeout=5.0)
-        except queue.Empty:
-            continue
-
-
-def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
-    """Entry point of one process shard worker.
-
-    Mirrors the thread worker loop message for message, with two differences
-    born of the process boundary: the model is loaded privately (read-only
-    mmap), and events/metrics travel back through ``out_queue`` instead of a
-    shared dispatch.  A worker that failed keeps consuming its queue —
-    acknowledging blocks and flush barriers — so the parent never deadlocks,
-    and reports the failure alongside a clean ``closed`` handshake.
-
-    Shared-memory blocks are unpacked **in place** — every scalar column is a
-    read-only view straight into the mapped segment, held alive by a
-    :class:`~repro.netstack.columns.BlockLease` for exactly as long as some
-    connection still references a packet of the block.  Released segments
-    land on ``retired`` and are closed between messages; a close can fail
-    with :class:`BufferError` while a stray array still exports the mapping,
-    so it is retried rather than forced.
-    """
-    metrics = StreamingMetrics(shard_count=1)
-    table = FlowTable(
-        idle_timeout=spec.idle_timeout,
-        close_grace=spec.close_grace,
-        max_flows=spec.max_flows,
-        max_packets=spec.max_packets,
-    )
-    admission = spec.drop_policy.new_state() if spec.drop_policy is not None else None
-    pending: list[tuple[Connection, CompletionReason]] = []
-    blocks: "OrderedDict[int, list[ColumnPacketView]]" = OrderedDict()
-    retired: list = []
-    failed = False
-
-    def close_retired_segments() -> None:
-        for segment in retired[:]:
-            try:
-                segment.close()
-            except BufferError:
-                continue  # some view still exports the mapping; retry later
-            retired.remove(segment)
-
-    def gauges() -> dict[str, object]:
-        state = metrics.worker_state()
-        state["active_flows"] = len(table)
-        state["pending"] = len(pending)
-        return state
-
-    def emit(events: list[DetectionEvent]) -> None:
-        _post(out_queue, ("events", spec.index, events, gauges(), spec.generation))
-
-    clap: Clap | None = None
-    try:
-        clap = Clap.load(spec.model_dir, mmap_mode="r")
-        clap.engine  # build once, before the first flush
-    except BaseException as error:
-        failed = True
-        _post(out_queue, ("failed", spec.index, f"{type(error).__name__}: {error}", spec.generation))
-
-    def flush_pending(dispatch: bool = True) -> list[DetectionEvent]:
-        return drain_pending(
-            clap,
-            pending,
-            spec.policy.max_batch,
-            spec.threshold,
-            spec.top_n,
-            metrics,
-            emit if dispatch else _emit_nothing,
-        )
-
-    def buffer_completions(
-        completions: list[tuple[Connection, CompletionReason]]
-    ) -> None:
-        if not completions:
-            return
-        completions = apply_drop_policy(completions, spec.drop_policy, metrics, admission)
-        pending.extend(completions)
-        metrics.record_pending_depth(len(pending))
-        if spec.policy.auto_flush and len(pending) >= spec.policy.max_batch:
-            flush_pending()
-        elif len(pending) >= spec.policy.max_buffered:
-            flush_pending()
-
-    while True:
-        try:
-            item = in_queue.get(timeout=5.0)
-        except queue.Empty:
-            # Deadline discipline: never block forever on the work queue.  A
-            # parent that died without the close handshake leaves an orphan
-            # worker; detect it between polls and exit instead of lingering.
-            parent = multiprocessing.parent_process()
-            if parent is not None and not parent.is_alive():
-                return
-            continue
-        kind = item[0]
-        close_retired_segments()
-        try:
-            if kind == "wedge":
-                # Injected fault: stop servicing the queue without exiting.
-                # The parent's stall deadline is what must detect this.
-                parent = multiprocessing.parent_process()
-                while parent is None or parent.is_alive():
-                    time.sleep(0.2)
-                return
-            if kind == "close":
-                final: list[DetectionEvent] = []
-                if not failed:
-                    pending.extend(
-                        apply_drop_policy(
-                            table.drain(), spec.drop_policy, metrics, admission
-                        )
-                    )
-                    final = flush_pending(dispatch=False)
-                _post(out_queue, ("closed", spec.index, final, gauges(), spec.generation))
-                # The drain released every connection, so all block views are
-                # gone; one best-effort pass unmaps what the finalizers just
-                # retired (anything still exporting is reclaimed at exit).
-                blocks.clear()
-                close_retired_segments()
-                return
-            if kind == "block":
-                payload, lease, copied = _attach_block(item[2], retired)
-                _post(out_queue, ("block_ack", spec.index, item[1], spec.generation))
-                if failed:
-                    if lease is not None:
-                        lease.release()
-                    continue
-                if copied:
-                    metrics.record_payload_copy(copied)
-                columns = unpack_block(payload, lease=lease)
-                if lease is not None:
-                    # Refcount-style release: once the last view of this
-                    # block is dropped, the lease retires the segment.
-                    weakref.finalize(columns, lease.release)
-                blocks[item[1]] = columns.views()
-                while len(blocks) > spec.block_cache:
-                    blocks.popitem(last=False)
-                continue
-            if kind == "flush":
-                events = [] if failed else flush_pending()
-                _post(out_queue, ("flush_done", spec.index, item[1], events, gauges(), spec.generation))
-                continue
-            if failed:
-                continue
-            if kind == "poll":
-                buffer_completions(table.poll(item[1]))
-                continue
-            if kind == "rows":
-                views = blocks[item[1]]
-                indices = np.frombuffer(item[2], dtype=np.int64)
-                clocks = np.frombuffer(item[3], dtype=np.float64)
-                completions: list[tuple[Connection, CompletionReason]] = []
-                for index, clock in zip(indices.tolist(), clocks.tolist(), strict=True):
-                    view = views[index]
-                    if clock > table.clock:
-                        completions.extend(table.poll(clock))
-                    completions.extend(table.add(view, view.flow_key()))
-                buffer_completions(completions)
-                continue
-            if kind == "packets":
-                completions = []
-                for packet, clock in item[1]:
-                    if clock > table.clock:
-                        completions.extend(table.poll(clock))
-                    completions.extend(table.add(packet))
-                buffer_completions(completions)
-                continue
-        except BaseException as error:  # noqa: BLE001 - forwarded to parent
-            failed = True
-            _post(out_queue, ("failed", spec.index, f"{type(error).__name__}: {error}", spec.generation))
-            if kind == "flush":
-                _post(out_queue, ("flush_done", spec.index, item[1], [], gauges(), spec.generation))
-            elif kind == "close":
-                _post(out_queue, ("closed", spec.index, [], gauges(), spec.generation))
-                return
-
-
-class _ProcessShard:
-    """Parent-side handle of one process shard worker."""
-
-    def __init__(self, index: int, in_queue, process, spec: _WorkerSpec) -> None:
-        self.index = index
-        self.queue = in_queue
-        self.process = process
-        self.spec = spec
-        self.final_events: list[DetectionEvent] = []
-        self.failure: str | None = None
-        self.closed = False
-        self.lost = False
-        self.respawns = 0
-        # Per-incarnation accounting: packets handed to this worker's queue
-        # and packets that came back scored inside events.  The difference at
-        # loss time is the known in-flight loss.
-        self.routed_packets = 0
-        self.scored_packets = 0
-        self.state: dict[str, object] = {}
-        # Consecutive empty result-queue polls observed with the process
-        # dead; guards against declaring a worker lost while its final
-        # messages are still in flight through the queue's feeder pipe.
-        self.dead_polls = 0
+    def _error(self, index: int, reason: str) -> Exception:
+        return RuntimeError(f"shard worker {index} failed: {reason}")
 
 
 class ParallelStreamingDetector:
-    """Multi-worker streaming CLAP: fan packets to shards, funnel events out.
+    """Streaming CLAP on the caller's thread or across N worker processes.
 
     Parameters mirror :class:`~repro.serve.streaming.StreamingDetector`, plus:
 
     workers:
-        Number of flow-table shards and workers.  ``1`` in thread mode (the
-        default) delegates to a plain ``StreamingDetector`` on the caller's
-        thread; process mode spawns a worker even at ``1``.
+        Number of workers; more than one needs ``worker_mode="process"``.
     worker_mode:
-        ``"thread"`` (default) or ``"process"``; see the module docstring.
+        ``"thread"`` (default: one in-process detector) or ``"process"``;
+        see the module docstring.
     model_dir:
-        Process mode only: the artifact directory the workers load (read-only
-        mmap).  Defaults to saving ``clap`` into a temporary directory that
-        lives until :meth:`close`.
-    start_method:
-        Process mode only: the :mod:`multiprocessing` start method.  Defaults
-        to ``"fork"`` where available (fast, POSIX), else ``"spawn"``.
+        Process mode only: the artifact directory the workers load
+        (read-only mmap).  Without it the workers inherit ``clap``.
     drop_policy:
         Applied to :attr:`CompletionReason.CAPACITY` evictions before they
         reach the engine (see :class:`~repro.serve.metrics.DropPolicy`).
     chunk_size:
-        Packets handed to a shard per queue operation.  Larger chunks cut
-        queue overhead; smaller chunks cut event latency.  The default
+        Process mode: packets handed to a worker per frame.  The default
         ``"adaptive"`` installs an :class:`~repro.serve.metrics.AdaptiveChunker`
-        that grows the chunk under queue backpressure and shrinks it when
-        flush latency climbs; an integer pins it (the historical behaviour
-        was ``64``).  Chunk size never changes *what* is scored — only how
-        packets are grouped in transit.
+        that grows the chunk under backpressure and shrinks it when flush
+        latency climbs; an integer pins it.  Chunk size never changes *what*
+        is scored — only how packets are grouped in transit.
     queue_depth:
-        Bounded per-shard queue length (in chunks).  When a shard falls this
-        far behind, :meth:`ingest` blocks — backpressure instead of
-        unbounded buffering.
+        Process mode: frames a worker may have unanswered.  When a worker
+        falls this far behind, :meth:`ingest` waits — backpressure instead
+        of unbounded buffering.
+    on_worker_failure / max_worker_respawns / stall_deadline / fault_plan:
+        Process mode supervision; see the module docstring.
     metrics:
         Optional externally-owned :class:`StreamingMetrics`; one is created
         (and exposed as :attr:`metrics`) by default.
@@ -520,7 +126,6 @@ class ParallelStreamingDetector:
         queue_depth: int = 8,
         metrics: StreamingMetrics | None = None,
         model_dir: str | Path | None = None,
-        start_method: str | None = None,
         on_worker_failure: str = "fail",
         max_worker_respawns: int = 2,
         stall_deadline: float | None = None,
@@ -532,30 +137,19 @@ class ParallelStreamingDetector:
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
             )
+        if worker_mode == "thread" and workers > 1:
+            raise ValueError(
+                f"{workers} workers run as worker processes: "
+                "use worker_mode='process' (--worker-mode process)"
+            )
         if on_worker_failure not in FailurePolicy:
             raise ValueError(
                 f"on_worker_failure must be one of {FailurePolicy}, got {on_worker_failure!r}"
             )
         if on_worker_failure != "fail" and worker_mode != "process":
             raise ValueError(
-                "worker failure policies beyond 'fail' require worker_mode='process' "
-                "(threads cannot be killed or respawned)"
+                "worker failure policies beyond 'fail' require worker_mode='process'"
             )
-        if isinstance(chunk_size, AdaptiveChunker):
-            self._chunker: AdaptiveChunker | None = chunk_size
-            self._fixed_chunk = 0
-        elif chunk_size == "adaptive":
-            self._chunker = AdaptiveChunker()
-            self._fixed_chunk = 0
-        elif isinstance(chunk_size, str):
-            raise ValueError(
-                f"chunk_size must be an integer or 'adaptive', got {chunk_size!r}"
-            )
-        else:
-            if chunk_size < 1:
-                raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-            self._chunker = None
-            self._fixed_chunk = int(chunk_size)
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be at least 1, got {queue_depth}")
         self.clap = clap
@@ -563,31 +157,13 @@ class ParallelStreamingDetector:
         self.worker_mode = worker_mode
         self.policy = flush_policy or FlushPolicy()
         self.threshold = clap.threshold if threshold is None else float(threshold)
-        self.top_n = int(top_n)
-        self.drop_policy = drop_policy
-        self.on_event = on_event
-        self.on_alert = on_alert
         self.metrics = metrics or StreamingMetrics(shard_count=self.workers)
-        if self._chunker is not None:
-            self.metrics.attach_chunker(self._chunker)
-        self._closed = False
-        self._single: StreamingDetector | None = None
-        self._process_mode = worker_mode == "process"
-        self.on_worker_failure = on_worker_failure
-        self.max_worker_respawns = int(max_worker_respawns)
-        self._stall_deadline = stall_deadline if stall_deadline else None
-        self._fault_plan = fault_plan
-        #: Every shard-worker loss recorded this stream (``kind="worker"``).
-        self.worker_losses: list[InstanceLossRecord] = []
         #: Secondary errors swallowed during error-path teardown (see run()).
         self.teardown_errors: list[str] = []
-        self._worker_respawns = 0
-        self._degraded_flows = 0
-        # Route table for degrade mode: slot -> surviving shard index.  The
-        # identity mapping until a worker is lost under the degrade policy.
-        self._proc_route = list(range(self.workers))
-        self._degraded_slots: set[int] = set()
-        if self.workers == 1 and not self._process_mode:
+        self._closed = False
+        self._single: StreamingDetector | None = None
+        self._pool: _WorkerPool | None = None
+        if worker_mode == "thread":
             self._single = StreamingDetector(
                 clap,
                 flush_policy=self.policy,
@@ -602,971 +178,93 @@ class ParallelStreamingDetector:
                 drop_policy=drop_policy,
                 metrics=self.metrics,
             )
+            self._target: StreamingDetector | _WorkerPool = self._single
             return
-        self._events: deque[DetectionEvent] = deque()
-        # Reentrant so an on_event/on_alert callback (invoked while the lock
-        # is held) may read the counter properties without deadlocking.
-        self._dispatch_lock = threading.RLock()
-        self._connections_seen = 0
-        self._alerts_emitted = 0
-        # Global stream high-water mark; written only by the ingest thread,
-        # snapshotted into every queued packet so shard clocks catch up to
-        # global stream time exactly as ShardedFlowTable.add does.
-        self._clock = float("-inf")
-        if self._process_mode:
-            self._init_process_pool(
+        self._pool = self._target = _WorkerPool(
+            clap if model_dir is None else model_dir,
+            queue_depth,
+            instances=self.workers,
+            config=InstanceConfig(
+                flush_policy=self.policy,
+                threshold=self.threshold,
+                top_n=top_n,
                 idle_timeout=idle_timeout,
                 close_grace=close_grace,
                 max_flows=max_flows,
                 max_packets=max_packets,
-                model_dir=model_dir,
-                start_method=start_method,
-                queue_depth=queue_depth,
-            )
-            return
-        # Build the lazy engine on the caller's thread so worker threads
-        # never race its construction.
-        clap.engine
-        self.sharded = ShardedFlowTable(
-            self.workers,
-            idle_timeout=idle_timeout,
-            close_grace=close_grace,
-            max_flows=max_flows,
-            max_packets=max_packets,
+                drop_policy=drop_policy,
+            ),
+            chunk_size=chunk_size,
+            on_event=on_event,
+            on_alert=on_alert,
+            metrics=self.metrics,
+            on_instance_failure=on_worker_failure,
+            max_respawns=max_worker_respawns,
+            io_deadline=stall_deadline,
+            fault_plan=fault_plan,
         )
-        self._buffers: list[list[tuple[Packet, FlowKey, float]]] = [
-            [] for _ in range(self.workers)
-        ]
-        self._shards = [
-            _Shard(
-                index,
-                self.sharded.tables[index],
-                queue_depth,
-                drop_policy.new_state() if drop_policy is not None else None,
-            )
-            for index in range(self.workers)
-        ]
-        for shard in self._shards:
-            shard.thread = threading.Thread(
-                target=self._worker_loop,
-                args=(shard,),
-                name=f"clap-shard-{shard.index}",
-                daemon=True,
-            )
-            shard.thread.start()
-
-    # ------------------------------------------------------ process pool setup
-    def _init_process_pool(
-        self,
-        *,
-        idle_timeout: float,
-        close_grace: float,
-        max_flows: int | None,
-        max_packets: int | None,
-        model_dir: str | Path | None,
-        start_method: str | None,
-        queue_depth: int,
-    ) -> None:
-        if max_flows is not None and max_flows < 1:
-            raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-        per_shard_flows = None if max_flows is None else -(-max_flows // self.workers)
-        # Validate the flow-table knobs eagerly (the workers would otherwise
-        # surface a ValueError asynchronously, long after construction).
-        FlowTable(
-            idle_timeout=idle_timeout,
-            close_grace=close_grace,
-            max_flows=per_shard_flows,
-            max_packets=max_packets,
-        )
-        method = start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        self._mp_context = context
-        self._queue_depth = queue_depth
-        if _shared_memory is not None:
-            try:
-                # Start the resource tracker *before* the workers exist, so
-                # every process shares one tracker: a worker attaching a
-                # segment then re-registers into the same (set-backed)
-                # registry instead of spinning up a private tracker that
-                # would mis-report the parent's segments as leaked.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            # clap-lint: allow[RL005] reason=best-effort tracker warm-up; workers fall back to private trackers
-            except Exception:  # pragma: no cover - tracker internals shifted
-                pass
-        self._tmp_model_cleanup = None
-        if model_dir is None:
-            tmp_dir = tempfile.mkdtemp(prefix="clap-shard-pool-")
-            self.clap.save(tmp_dir)
-            model_dir = tmp_dir
-            self._tmp_model_cleanup = weakref.finalize(
-                self, shutil.rmtree, tmp_dir, ignore_errors=True
-            )
-        self._buffers = [[] for _ in range(self.workers)]  # type: ignore[assignment]
-        self._result_queue = context.Queue()
-        # Blocks currently shipped to the workers (insertion-ordered; parent
-        # and workers evict in lockstep) and the shm segments awaiting acks.
-        self._live_blocks: "OrderedDict[int, PacketColumns]" = OrderedDict()
-        self._current_columns: PacketColumns | None = None
-        self._block_shm: dict[int, tuple[object, set[int]]] = {}
-        self._flush_results: dict[int, dict[int, list[DetectionEvent]]] = {}
-        self._flush_counter = 0
-        self._shards: list[_ProcessShard] = []  # type: ignore[assignment]
-        for index in range(self.workers):
-            spec = _WorkerSpec(
-                index=index,
-                model_dir=str(model_dir),
-                threshold=self.threshold,
-                top_n=self.top_n,
-                policy=self.policy,
-                drop_policy=self.drop_policy,
-                idle_timeout=idle_timeout,
-                close_grace=close_grace,
-                max_flows=per_shard_flows,
-                max_packets=max_packets,
-            )
-            in_queue = context.Queue(maxsize=queue_depth)
-            process = context.Process(
-                target=_process_worker_main,
-                args=(spec, in_queue, self._result_queue),
-                name=f"clap-shard-{index}",
-                daemon=True,
-            )
-            shard = _ProcessShard(index, in_queue, process, spec)
-            self._shards.append(shard)
-            process.start()
 
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
-        """Route one packet to its shard (may block under backpressure)."""
+        """Feed one packet (may wait for a worker under backpressure)."""
         if self._closed:
             raise RuntimeError("ingest() after close()")
-        if self._single is not None:
-            self._single.ingest(packet)
-            return
-        self._raise_worker_failure()
-        if self._process_mode:
-            self._ingest_process(packet)
-            return
-        # The router computes the flow key once; the owning shard reuses it
-        # (FlowTable.add accepts a precomputed key), so sharding adds no
-        # duplicate key work to the per-packet path.
-        key = flow_key_of(packet)
-        index = self.sharded.shard_index(key)
-        buffer = self._buffers[index]
-        buffer.append((packet, key, self._clock))
-        if packet.timestamp > self._clock:
-            self._clock = packet.timestamp
-        if len(buffer) >= self._chunk_target():
-            self._submit(index)
-
-    def _ingest_process(self, packet: Packet) -> None:
-        if type(packet) is ColumnPacketView and packet.columns is not self._current_columns:
-            # A new capture block: flush every shard's buffered rows first so
-            # queued row slices always precede the block broadcast (workers
-            # evict their oldest cached block when a new one arrives).
-            for index in range(self.workers):
-                self._submit_process(index)
-            self._ship_block(packet.columns)
-            self._current_columns = packet.columns
-        key = flow_key_of(packet)
-        index = self._proc_route[hash(key) % self.workers]
-        buffer = self._buffers[index]
-        buffer.append((packet, self._clock))  # type: ignore[arg-type]
-        if packet.timestamp > self._clock:
-            self._clock = packet.timestamp
-        if self._fault_plan is not None:
-            self._apply_worker_faults(1)
-        if len(buffer) >= self._chunk_target():
-            self._submit_process(index)
+        self._target.ingest(packet)
 
     def ingest_many(self, packets: Iterable[Packet]) -> None:
         """Feed a chunk of packets in stream order."""
-        if self._single is not None:
-            self._single.ingest_many(packets)
-            return
-        for packet in packets:
-            self.ingest(packet)
+        if self._closed:
+            raise RuntimeError("ingest() after close()")
+        self._target.ingest_many(packets)
 
     def poll(self, now: float | None = None) -> None:
-        """Advance stream time on every shard without a packet."""
-        if self._single is not None:
-            self._single.poll(now)
-            return
-        if self._closed:
-            return  # every shard already drained; nothing left to expire
-        self._raise_worker_failure()
-        now = self._clock if now is None else float(now)
-        if now == float("-inf"):
-            return
-        if now > self._clock:
-            self._clock = now
-        if self._process_mode:
-            for index, shard in enumerate(self._shards):
-                self._submit_process(index)
-                self._put_shard(shard, ("poll", now))
-            self._drain_results()
-            return
-        for index, shard in enumerate(self._shards):
-            self._submit(index)
-            self._put_thread_shard(shard, _Poll(now))
+        """Advance stream time without a packet (a no-op after close)."""
+        if not self._closed:
+            self._target.poll(now)
 
     def run(self, source: PacketSource) -> list[DetectionEvent]:
         """Consume a packet source to exhaustion, then :meth:`close`.
 
-        :class:`~repro.serve.sources.Tick` items become :meth:`poll` calls,
-        so paced sources keep flow-table timers firing through quiet spells.
+        :class:`~repro.serve.sources.Tick` items become :meth:`poll` calls.
         Returns the final end-of-stream events; interim events remain
-        available through :meth:`events` / the callbacks.
-
-        If the source (or a worker) raises mid-stream, the pool is shut down
-        before the error propagates: workers are joined and queued state is
-        released rather than leaked, and a worker failure discovered during
-        that shutdown never masks the original error.
+        available through :meth:`events` / the callbacks.  If the source (or
+        a worker) raises mid-stream, the workers are shut down before the
+        error propagates.
         """
-        try:
-            for item in source:
-                if isinstance(item, Tick):
-                    self.poll(item.now)
-                else:
-                    self.ingest(item)
-        except BaseException:
-            try:
-                self.close()
-            except Exception as teardown_error:
-                # Surfacing the source error matters more than a secondary
-                # failure discovered while tearing the pool down; close()
-                # has already joined the workers either way — record the
-                # swallowed error instead of losing it.
-                self.teardown_errors.append(
-                    f"close during error teardown: {teardown_error!r}"
-                )
-            raise
-        return self.close()
-
-    def _chunk_target(self) -> int:
-        """Current ingest chunk size (adaptive or pinned)."""
-        return self._fixed_chunk if self._chunker is None else self._chunker.size
-
-    def _submit(self, index: int) -> None:
-        chunk = self._buffers[index]
-        if not chunk:
-            return
-        self._buffers[index] = []
-        shard = self._shards[index]
-        self.metrics.record_queue_depth(shard.queue.qsize() + 1)
-        try:
-            shard.queue.put_nowait(chunk)
-        except queue.Full:
-            if self._chunker is not None:
-                self._chunker.record_backpressure()
-            self._put_thread_shard(shard, chunk)  # blocks under backpressure
-        if self._chunker is not None:
-            self._chunker.record_submit()
-        self.metrics.record_ingest(index, len(chunk))
-
-    def _put_thread_shard(self, shard: _Shard, item: object) -> None:
-        """Backpressure put on a thread shard's bounded queue.
-
-        Chopped into short timeouts so a worker thread that died with a
-        recorded failure surfaces it instead of wedging the ingest thread
-        forever (a healthy worker merely behind keeps this blocking — that is
-        the backpressure contract; thread workers drain their queue even
-        after a failure, so the wait always ends).
-        """
-        while True:
-            try:
-                shard.queue.put(item, timeout=0.2)
-                return
-            except queue.Full:
-                if shard.failure is not None and shard.thread is not None:
-                    if not shard.thread.is_alive():
-                        self._raise_worker_failure()
-
-    # ------------------------------------------------- process-mode transport
-    def _submit_process(self, index: int) -> None:
-        chunk = self._buffers[index]
-        if not chunk:
-            return
-        self._buffers[index] = []
-        shard = self._shards[index]
-        if shard.lost:
-            # The shard was lost while this buffer sat unrouted; its packets
-            # were never in flight, so they simply follow the rehashed route.
-            self._rehome_packets(chunk)  # type: ignore[arg-type]
-            return
-        messages: list[tuple] = []
-        covered: list[list[tuple[Packet, float]]] = []
-        run_columns: PacketColumns | None = None
-        run_indices: list[int] = []
-        run_clocks: list[float] = []
-        run_pairs: list[tuple[Packet, float]] = []
-        object_run: list[tuple[Packet, float]] = []
-
-        def close_column_run() -> None:
-            nonlocal run_columns
-            if run_columns is not None:
-                messages.append(
-                    (
-                        "rows",
-                        id(run_columns),
-                        np.asarray(run_indices, dtype=np.int64).tobytes(),
-                        np.asarray(run_clocks, dtype=np.float64).tobytes(),
-                    )
-                )
-                covered.append(list(run_pairs))
-                run_columns = None
-                run_indices.clear()
-                run_clocks.clear()
-                run_pairs.clear()
-
-        def close_object_run() -> None:
-            if object_run:
-                messages.append(("packets", list(object_run)))
-                covered.append(list(object_run))
-                object_run.clear()
-
-        for packet, clock in chunk:  # type: ignore[misc]
-            if type(packet) is ColumnPacketView:
-                columns = packet.columns
-                if columns is not run_columns:
-                    close_column_run()
-                    close_object_run()
-                    if id(columns) not in self._live_blocks:
-                        # The block left the cache window (or this chunk was
-                        # buffered before it was first seen); re-broadcast.
-                        self._ship_block(columns)
-                    run_columns = columns
-                run_indices.append(packet.index)
-                run_clocks.append(clock)
-                run_pairs.append((packet, clock))
-            else:
-                close_column_run()
-                object_run.append((packet, clock))
-        close_column_run()
-        close_object_run()
-        try:
-            depth = shard.queue.qsize() + len(messages)
-        except NotImplementedError:  # pragma: no cover - macOS qsize
-            depth = len(messages)
-        self.metrics.record_queue_depth(depth)
-        for position, message in enumerate(messages):
-            # Blocks while the shard is merely behind (backpressure), but
-            # never wedges on a dead or wedged worker.
-            if self._put_shard(shard, message):
-                shard.routed_packets += len(covered[position])
-                continue
-            if shard.lost:
-                # Degraded: this message and the rest of the chunk never
-                # reached a worker, so they were never in flight — reroute
-                # them instead of counting them lost.
-                self._rehome_packets(
-                    [pair for pairs in covered[position:] for pair in pairs]
-                )
-            break
-        self.metrics.record_ingest(index, len(chunk))
-        self._drain_results()
-
-    def _rehome_packets(self, pairs: list[tuple[Packet, float]]) -> None:
-        """Re-buffer packets whose shard was lost before they were routed."""
-        for packet, clock in pairs:
-            index = self._proc_route[hash(flow_key_of(packet)) % self.workers]
-            self._buffers[index].append((packet, clock))
-
-    def _put_shard(self, shard: "_ProcessShard", message: tuple) -> bool:
-        """Put on a shard's bounded queue without wedging on a dead worker.
-
-        A healthy worker that is merely behind keeps the put blocking — that
-        is the backpressure contract.  A worker that died without draining
-        its queue (kill -9, OOM) would block the put forever, so the wait is
-        chopped into short timeouts with a liveness check between them; a
-        worker that stays alive but makes no progress past ``stall_deadline``
-        is declared wedged.  Either way the failure policy runs: after a
-        successful respawn the put is retried against the new incarnation,
-        otherwise the message is dropped and ``False`` returned (under
-        ``fail`` the recorded failure surfaces on the next
-        ingest/flush/close; under ``degrade`` the caller reroutes).
-        """
-        stalled_since: float | None = None
-        while True:
-            if shard.lost or shard.closed:
-                return False
-            try:
-                shard.queue.put(message, timeout=0.2)
-                if self._chunker is not None:
-                    self._chunker.record_submit()
-                return True
-            except queue.Full:
-                if stalled_since is None:
-                    stalled_since = time.monotonic()
-                    if self._chunker is not None:
-                        self._chunker.record_backpressure()
-                if not shard.process.is_alive():
-                    self._on_worker_down(shard, "worker process died unexpectedly")
-                    continue
-                if (
-                    self._stall_deadline is not None
-                    and time.monotonic() - stalled_since > self._stall_deadline
-                ):
-                    self._on_worker_down(
-                        shard,
-                        "worker wedged: queue made no progress for "
-                        f"{self._stall_deadline:.1f}s",
-                    )
-                    continue
-
-    def _ship_block(self, columns: PacketColumns) -> None:
-        """Broadcast one capture block to every worker (first sight only).
-
-        Eviction is strictly FIFO by ship order — deliberately *not*
-        refreshed on re-sight — because the workers evict their unpacked
-        caches in the order the ``block`` messages arrive; only identical
-        FIFO windows on both sides keep a queued row slice guaranteed to
-        find its block cached.  A block revisited after leaving the window
-        is simply re-broadcast.
-        """
-        block_id = id(columns)
-        if block_id in self._live_blocks:
-            return
-        payload = columns.pack_block()
-        ref = self._block_ref(block_id, payload)
-        for shard in self._shards:
-            self._put_shard(shard, ("block", block_id, ref))
-        self._live_blocks[block_id] = columns
-        while len(self._live_blocks) > _BLOCK_CACHE_DEPTH:
-            self._live_blocks.popitem(last=False)
-
-    def _block_ref(self, block_id: int, payload: bytes) -> tuple:
-        """Wrap a packed block for transport: shared memory when it pays."""
-        if _shared_memory is None or len(payload) < _SHM_MIN_BYTES:
-            return ("bytes", payload)
-        try:
-            segment = _shared_memory.SharedMemory(create=True, size=len(payload))
-        except OSError:  # pragma: no cover - /dev/shm unavailable or full
-            return ("bytes", payload)
-        segment.buf[: len(payload)] = payload
-        waiting = {shard.index for shard in self._shards if not shard.lost}
-        self._block_shm[block_id] = (segment, waiting)
-        self.metrics.record_shm_segment(len(payload), len(self._block_shm))
-        return ("shm", segment.name, len(payload))
-
-    def _release_block_shm(self, block_id: int, shard_index: int) -> None:
-        entry = self._block_shm.get(block_id)
-        if entry is None:
-            return
-        segment, waiting = entry
-        waiting.discard(shard_index)
-        if not waiting:
-            del self._block_shm[block_id]
-            segment.close()
-            segment.unlink()
-
-    def _handle_result(self, message: tuple) -> None:
-        kind = message[0]
-        shard = self._shards[message[1]]
-        if message[-1] != shard.spec.generation:
-            return  # stale message from a dead incarnation (pre-respawn)
-        if kind == "events":
-            _, shard_index, events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
-            shard.state = state
-            shard.scored_packets += sum(e.result.packet_count for e in events)
-            self._dispatch_many(self._mark_degraded(events))
-        elif kind == "block_ack":
-            self._release_block_shm(message[2], message[1])
-        elif kind == "flush_done":
-            _, shard_index, flush_id, events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
-            shard.state = state
-            shard.scored_packets += sum(e.result.packet_count for e in events)
-            waiting = self._flush_results.get(flush_id)
-            if waiting is not None:
-                waiting[shard_index] = self._mark_degraded(events)
-        elif kind == "failed":
-            if self.on_worker_failure == "fail":
-                if shard.failure is None:
-                    shard.failure = message[2]
-            else:
-                self._on_worker_down(shard, f"worker reported failure: {message[2]}")
-        elif kind == "closed":
-            _, shard_index, final_events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
-            shard.state = state
-            shard.scored_packets += sum(e.result.packet_count for e in final_events)
-            shard.final_events = self._mark_degraded(final_events)
-            shard.closed = True
-
-    def _drain_results(self) -> None:
-        """Consume every result-queue message available right now."""
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-            self._handle_result(message)
-
-    def _await_results(self, done) -> None:
-        """Pump the result queue until ``done()`` — dead workers included.
-
-        A worker that died without its final handshake (kill -9, interpreter
-        abort) is declared failed after a few consecutive empty polls with
-        the process gone, so barriers and close() terminate instead of
-        waiting forever.  When a ``stall_deadline`` is configured, a worker
-        that is alive but has produced nothing for that long while a barrier
-        waits on it is declared wedged and handed to the failure policy the
-        same way.
-        """
-        last_progress = time.monotonic()
-        while not done():
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue.Empty:
-                for shard in self._shards:
-                    if shard.closed or shard.lost or shard.process.is_alive():
-                        shard.dead_polls = 0
-                        continue
-                    shard.dead_polls += 1
-                    if shard.dead_polls < 3:
-                        continue
-                    self._on_worker_down(shard, "worker process died unexpectedly")
-                if (
-                    self._stall_deadline is not None
-                    and time.monotonic() - last_progress > self._stall_deadline
-                ):
-                    for shard in self._shards:
-                        if shard.closed or shard.lost:
-                            continue
-                        # A wedged worker stops consuming, so its input
-                        # queue retains items; an alive worker with an empty
-                        # queue is merely busy (e.g. a slow close drain) and
-                        # must not be shot — that would cascade respawns.
-                        try:
-                            consumed = shard.queue.qsize() == 0
-                        except (NotImplementedError, OSError):
-                            consumed = False
-                        if consumed and shard.process.is_alive():
-                            continue
-                        self._on_worker_down(
-                            shard,
-                            "worker wedged: no results for "
-                            f"{self._stall_deadline:.1f}s while a barrier waited",
-                        )
-                    last_progress = time.monotonic()
-                continue
-            last_progress = time.monotonic()
-            self._handle_result(message)
-
-    # ------------------------------------------------------- worker supervision
-    def _apply_worker_faults(self, count: int) -> None:
-        """Fire due injected worker faults from the :class:`FaultPlan`.
-
-        Only ``kill-worker`` / ``wedge-worker`` faults apply at this layer
-        (and only in process mode — threads cannot be killed); instance-level
-        kinds belong to the partitioner and are ignored here.
-        """
-        if not self._process_mode:
-            return
-        for kind, index in self._fault_plan.packet_routed(count):
-            if kind not in ("kill-worker", "wedge-worker"):
-                continue
-            shard = self._shards[index % self.workers]
-            if shard.lost or shard.closed:
-                continue
-            if kind == "kill-worker":
-                if shard.process.is_alive():
-                    os.kill(shard.process.pid, signal.SIGKILL)
-            else:
-                self._put_shard(shard, ("wedge",))
-
-    def _on_worker_down(self, shard: "_ProcessShard", reason: str) -> None:
-        """Central worker-loss handler: reap, account, then apply the policy.
-
-        Safe to call from any parent-side path that discovers the loss (a
-        stalled put, an empty result poll, a worker-reported failure); the
-        first caller wins, later calls see ``lost``/``closed`` and return.
-        """
-        if shard.lost or shard.closed:
-            return
-        policy = self.on_worker_failure
-        if self._closed and policy == "respawn":
-            # Mid-close there is no future work to respawn for; record the
-            # loss and let the drain complete with what the survivors hold.
-            policy = "degrade"
-        routed, scored = shard.routed_packets, shard.scored_packets
-        if shard.process.is_alive():
-            shard.process.kill()
-        shard.process.join(timeout=_WORKER_JOIN_TIMEOUT)
-        # The dead incarnation's queue is abandoned (respawn replaces it,
-        # degrade/fail never touch it again).  Without this, its feeder
-        # thread can sit blocked on a full pipe nobody reads, and the
-        # interpreter's atexit join on that feeder hangs shutdown.
-        shard.queue.cancel_join_thread()
-        shard.queue.close()
-        shard.state = {}
-        # The dead worker will never ack its shm blocks; release its claims
-        # so segments are unlinked as soon as the survivors are done.
-        for block_id in list(self._block_shm):
-            self._release_block_shm(block_id, shard.index)
-        # Nor will it answer outstanding flush barriers.
-        for waiting in self._flush_results.values():
-            waiting.setdefault(shard.index, [])
-        if policy == "respawn" and shard.respawns >= self.max_worker_respawns:
-            reason = f"{reason}; respawn budget ({self.max_worker_respawns}) exhausted"
-            policy = "degrade"
-        if policy == "respawn":
-            try:
-                self._respawn_worker(shard)
-            except (OSError, RuntimeError, ValueError) as error:
-                reason = f"{reason}; respawn failed: {error}"
-                policy = "degrade"
-        record = InstanceLossRecord(
-            index=shard.index,
-            kind="worker",
-            reason=reason,
-            policy=policy,
-            packets_routed=routed,
-            packets_scored=scored,
-        )
-        self.worker_losses.append(record)
-        self.metrics.record_instance_lost(record.packets_lost_inflight)
-        if policy == "respawn":
-            return
-        if policy == "fail":
-            if shard.failure is None:
-                shard.failure = reason
-            shard.closed = True
-            return
-        shard.lost = True
-        shard.closed = True
-        pending = self._buffers[shard.index]
-        self._buffers[shard.index] = []
-        self._apply_worker_degrade(shard)
-        if pending:
-            self._rehome_packets(pending)  # type: ignore[arg-type]
-
-    def _respawn_worker(self, shard: "_ProcessShard") -> None:
-        """Replace a dead worker with a fresh incarnation of its spec.
-
-        The new worker re-registers all state a shard needs that outlives an
-        incarnation: every live capture block is re-broadcast (pipe-shipped;
-        the old shm claims were already released) in FIFO ship order so
-        queued row slices still find their blocks cached.  Work that was in
-        flight through the dead queue is gone — the caller records it as a
-        known loss before the counters reset.
-        """
-        spec = replace(shard.spec, generation=shard.spec.generation + 1)
-        in_queue = self._mp_context.Queue(maxsize=self._queue_depth)
-        process = self._mp_context.Process(
-            target=_process_worker_main,
-            args=(spec, in_queue, self._result_queue),
-            name=f"clap-shard-{shard.index}r{shard.respawns + 1}",
-            daemon=True,
-        )
-        process.start()
-        shard.spec = spec
-        shard.queue = in_queue
-        shard.process = process
-        shard.respawns += 1
-        shard.dead_polls = 0
-        shard.failure = None
-        shard.routed_packets = 0
-        shard.scored_packets = 0
-        for block_id, columns in self._live_blocks.items():
-            payload = columns.pack_block()
-            if not self._put_shard(shard, ("block", block_id, ("bytes", payload))):
-                raise RuntimeError("respawned worker died before re-registration")
-        self._worker_respawns += 1
-        self.metrics.record_respawn()
-
-    def _apply_worker_degrade(self, shard: "_ProcessShard") -> None:
-        """Rehash the lost shard's future flows onto the survivors."""
-        survivors = [s.index for s in self._shards if not s.lost]
-        if not survivors:
-            shard.failure = "every shard worker has been lost"
-            raise RuntimeError("every shard worker has been lost")
-        for slot, target in enumerate(self._proc_route):
-            if target == shard.index:
-                self._proc_route[slot] = survivors[slot % len(survivors)]
-                self._degraded_slots.add(slot)
-
-    def _mark_degraded(self, events: list[DetectionEvent]) -> list[DetectionEvent]:
-        """Flag events whose home shard was lost (scored by a survivor)."""
-        if not self._degraded_slots:
-            return events
-        out: list[DetectionEvent] = []
-        for event in events:
-            key = event.result.key
-            if (
-                key is not None
-                and hash(key) % self.workers in self._degraded_slots
-                and not event.result.degraded
-            ):
-                event = replace(event, result=replace(event.result, degraded=True))
-                self._degraded_flows += 1
-                self.metrics.record_degraded_flows()
-            out.append(event)
-        return out
-
-    def degradation_report(self) -> DegradationReport:
-        """What this stream lost: worker losses, respawns, degraded flows."""
-        return DegradationReport(
-            losses=list(self.worker_losses),
-            respawns=self._worker_respawns,
-            degraded_flows=self._degraded_flows,
-            teardown_errors=list(self.teardown_errors),
-        )
+        return run_source(self, source, self.teardown_errors)
 
     # ---------------------------------------------------------------- scoring
     def flush(self) -> list[DetectionEvent]:
-        """Score everything currently buffered on every shard (barrier).
+        """Score everything buffered now (a barrier across workers).
 
-        Blocks until each worker has drained its pending buffer; returns the
-        events produced by this flush in deterministic order.
+        Returns the flushed events in deterministic order.
         """
-        if self._single is not None:
-            return self._single.flush()
         if self._closed:
-            return []  # close() already flushed everything and joined workers
-        if self._process_mode:
-            self._drain_results()
-            self._raise_worker_failure()
-            flush_id = self._flush_counter
-            self._flush_counter += 1
-            waiting: dict[int, list[DetectionEvent]] = {}
-            self._flush_results[flush_id] = waiting
-            for index, shard in enumerate(self._shards):
-                self._submit_process(index)
-                if not self._put_shard(shard, ("flush", flush_id)):
-                    # Lost (or failed) shards answer no barriers.
-                    waiting.setdefault(index, [])
-            self._await_results(lambda: len(waiting) == self.workers)
-            del self._flush_results[flush_id]
-            self._raise_worker_failure()
-            flushed = [event for events in waiting.values() for event in events]
-            flushed.sort(key=_event_order)
-            return flushed
-        self._raise_worker_failure()
-        tokens: list[_Flush] = []
-        for index, shard in enumerate(self._shards):
-            self._submit(index)
-            token = _Flush()
-            self._put_thread_shard(shard, token)
-            tokens.append(token)
-        for token in tokens:
-            # Deadline discipline: a worker that raised releases its barrier
-            # from the drain loop, but never wait unbounded on it.
-            while not token.done.wait(1.0):
-                self._raise_worker_failure()
-        self._raise_worker_failure()
-        flushed = [event for token in tokens for event in token.events]
-        flushed.sort(key=_event_order)
-        return flushed
+            return []
+        return self._target.flush()
 
     def close(self) -> list[DetectionEvent]:
-        """End of stream: drain every shard, join the workers.
+        """End of stream: drain every worker and join it.
 
         Returns the events produced by the final drain, sorted by
         ``(first_seen, connection key)`` — deterministic at any worker count.
-        A worker failure (including one discovered during the drain) still
-        joins every worker and releases shared-memory blocks and the
-        temporary model directory before the failure is raised.
+        A worker failure still joins every worker before it is raised.
         """
-        if self._single is not None:
-            if self._closed:
-                return []
-            self._closed = True
-            return sorted(self._single.close(), key=_event_order)
         if self._closed:
             return []
         self._closed = True
-        final_clock = self._clock
-        if self._process_mode:
-            return self._close_process_pool(final_clock)
-        for index, shard in enumerate(self._shards):
-            self._submit(index)
-            # Expire timers against global stream time before draining, so a
-            # quiet shard still reports CLOSED/IDLE exactly as a single
-            # table would have mid-stream.
-            if final_clock > float("-inf"):
-                self._put_thread_shard(shard, _Poll(final_clock))
-            self._put_thread_shard(shard, _CLOSE)
-        for shard in self._shards:
-            if shard.thread is not None:
-                # Deadline discipline: bounded joins, looped while alive.
-                while shard.thread.is_alive():
-                    shard.thread.join(timeout=5.0)
-        self._raise_worker_failure()
-        final = [event for shard in self._shards for event in shard.final_events]
-        final.sort(key=_event_order)
-        self._dispatch_many(final)
-        return final
+        return sorted(self._target.close(), key=event_order)
 
-    def _close_process_pool(self, final_clock: float) -> list[DetectionEvent]:
-        # Submit every leftover buffer before the first close message: a
-        # submit may re-broadcast a block to *all* queues, which must never
-        # land behind a worker's close.  Repeat until quiescent — a shard
-        # lost during this drain rehomes its buffer onto survivors whose own
-        # buffers may already have been submitted this pass.
-        for _ in range(self.workers + 2):
-            if not any(self._buffers):
-                break
-            for index in range(self.workers):
-                self._submit_process(index)
-        for shard in self._shards:
-            if final_clock > float("-inf"):
-                self._put_shard(shard, ("poll", final_clock))
-            self._put_shard(shard, ("close",))
-        self._await_results(lambda: all(shard.closed for shard in self._shards))
-        for shard in self._shards:
-            shard.process.join(timeout=_WORKER_JOIN_TIMEOUT)
-        self._drain_results()  # late block acks, nothing else outstanding
-        self._cleanup_process_pool()
-        self._raise_worker_failure()
-        final = [event for shard in self._shards for event in shard.final_events]
-        final.sort(key=_event_order)
-        self._dispatch_many(final)
-        return final
-
-    def _cleanup_process_pool(self) -> None:
-        for block_id in list(self._block_shm):
-            segment, _ = self._block_shm.pop(block_id)
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        self._live_blocks.clear()
-        self._current_columns = None
-        if self._tmp_model_cleanup is not None:
-            self._tmp_model_cleanup()
-
-    # ----------------------------------------------------------- worker side
-    def _worker_loop(self, shard: _Shard) -> None:
-        table = shard.table
-        while True:
-            item = _take(shard.queue)
-            try:
-                if item is _CLOSE:
-                    # Bypass _buffer_completions: its auto-flush would
-                    # dispatch part of the drain from this thread.  The whole
-                    # end-of-stream drain is dispatched by close() on the
-                    # caller's thread instead, merged and sorted across
-                    # shards, so the final events come out in deterministic
-                    # order.
-                    drained = apply_drop_policy(
-                        table.drain(), self.drop_policy, self.metrics, shard.admission
-                    )
-                    shard.pending.extend(drained)
-                    shard.final_events = self._flush_shard(shard, dispatch=False)
-                    return
-                if isinstance(item, _Flush):
-                    item.events = self._flush_shard(shard)
-                    item.done.set()
-                    continue
-                if isinstance(item, _Poll):
-                    self._buffer_completions(shard, table.poll(item.now))
-                    continue
-                completions: list[tuple[Connection, CompletionReason]] = []
-                for packet, key, clock in item:
-                    # Catch this shard up to the global stream time observed
-                    # when the packet was routed, then ingest it.
-                    if clock > table.clock:
-                        completions.extend(table.poll(clock))
-                    completions.extend(table.add(packet, key))
-                self._buffer_completions(shard, completions)
-            except BaseException as error:
-                shard.failure = error
-                # Whatever failed, release its barrier (a _Flush whose
-                # handler raised would otherwise block flush() forever) and,
-                # if it was the final drain, exit so close()'s join returns
-                # and surfaces the failure.
-                if isinstance(item, _Flush):
-                    item.done.set()
-                if item is _CLOSE:
-                    return
-                break
-        # Failed: keep consuming so the ingest thread never deadlocks on a
-        # full queue and pending flush()/close() barriers are released.
-        while True:
-            item = _take(shard.queue)
-            if item is _CLOSE:
-                return
-            if isinstance(item, _Flush):
-                item.done.set()
-
-    def _buffer_completions(
-        self,
-        shard: _Shard,
-        completions: list[tuple[Connection, CompletionReason]],
-    ) -> None:
-        if not completions:
-            return
-        completions = apply_drop_policy(
-            completions, self.drop_policy, self.metrics, shard.admission
-        )
-        shard.pending.extend(completions)
-        self.metrics.record_pending_depth(len(shard.pending))
-        if self.policy.auto_flush and len(shard.pending) >= self.policy.max_batch:
-            self._flush_shard(shard)
-        elif len(shard.pending) >= self.policy.max_buffered:
-            self._flush_shard(shard)
-
-    def _flush_shard(self, shard: _Shard, dispatch: bool = True) -> list[DetectionEvent]:
-        """Drain one shard's pending buffer through the shared chunked flush
-        loop, dispatching each chunk's events as soon as it is scored (or
-        not at all, for the close()-ordered final drain)."""
-        return drain_pending(
-            self.clap,
-            shard.pending,
-            self.policy.max_batch,
-            self.threshold,
-            self.top_n,
-            self.metrics,
-            self._dispatch_many if dispatch else _emit_nothing,
-        )
-
-    def _dispatch_many(self, events: list[DetectionEvent]) -> None:
-        if not events:
-            return
-        with self._dispatch_lock:
-            for event in events:
-                self._connections_seen += 1
-                is_alert = event.is_alert
-                if is_alert:
-                    self._alerts_emitted += 1
-                self._events.append(event)
-                if self.on_event is not None:
-                    self.on_event(event)
-                if is_alert and self.on_alert is not None:
-                    self.on_alert(event)  # type: ignore[arg-type]
-        self.metrics.record_events(len(events), sum(1 for e in events if e.is_alert))
-
-    def _raise_worker_failure(self) -> None:
-        for shard in self._shards:
-            if shard.failure is not None:
-                failure = shard.failure
-                if isinstance(failure, BaseException):
-                    raise RuntimeError(
-                        f"shard worker {shard.index} failed: {failure!r}"
-                    ) from failure
-                raise RuntimeError(f"shard worker {shard.index} failed: {failure}")
+    def degradation_report(self) -> DegradationReport:
+        """What this stream lost: worker losses, respawns, degraded flows."""
+        report = self._pool.degradation_report() if self._pool else DegradationReport()
+        report.teardown_errors.extend(self.teardown_errors)
+        return report
 
     # ----------------------------------------------------------------- output
     def events(self) -> Iterator[DetectionEvent]:
         """Drain the events produced since the last call (non-blocking)."""
-        if self._single is not None:
-            yield from self._single.events()
-            return
-        if self._process_mode and not self._closed:
-            self._drain_results()
-        while True:
-            try:
-                yield self._events.popleft()
-            except IndexError:
-                return
+        yield from self._target.events()
 
     def alerts(self) -> Iterator[Alert]:
         """Like :meth:`events`, but only threshold-exceeding connections."""
@@ -1577,58 +275,39 @@ class ParallelStreamingDetector:
     # ------------------------------------------------------------- monitoring
     @property
     def connections_seen(self) -> int:
-        if self._single is not None:
-            return self._single.connections_seen
-        with self._dispatch_lock:
-            return self._connections_seen
+        return self._target.connections_seen
 
     @property
     def alerts_emitted(self) -> int:
-        if self._single is not None:
-            return self._single.alerts_emitted
-        with self._dispatch_lock:
-            return self._alerts_emitted
+        return self._target.alerts_emitted
 
     @property
     def pending_connections(self) -> int:
-        """Completed connections buffered but not yet scored (approximate
-        while workers are running)."""
-        if self._single is not None:
-            return self._single.pending_connections
-        if self._process_mode:
-            return sum(int(shard.state.get("pending", 0)) for shard in self._shards)
-        return sum(len(shard.pending) for shard in self._shards)
+        """Completed connections buffered but not yet scored (as last
+        reported while workers are running)."""
+        return self._target.pending_connections
 
     @property
     def active_flows(self) -> int:
-        """Connections currently assembled across all shards (approximate
-        while workers are running)."""
-        if self._single is not None:
-            return self._single.active_flows
-        if self._process_mode:
-            return sum(self.occupancy())
-        return len(self.sharded)
+        """Connections currently being assembled across all workers."""
+        return self._target.active_flows
 
     def occupancy(self) -> list[int]:
-        """Tracked connections per shard."""
-        if self._single is not None:
-            return [self._single.active_flows]
-        if self._process_mode:
-            return [int(shard.state.get("active_flows", 0)) for shard in self._shards]
-        return self.sharded.occupancy()
+        """Tracked connections per worker."""
+        if self._pool is not None:
+            return self._pool.occupancy()
+        return [self._single.active_flows]
 
     def metrics_snapshot(self) -> dict:
-        """The metrics snapshot plus current shard occupancy."""
-        if self._single is not None:
-            self.metrics.set_ingested(0, self._single.packets_ingested)
-        elif self._process_mode and not self._closed:
-            self._drain_results()
+        """The metrics snapshot plus current worker occupancy."""
+        if self._pool is not None:
+            return self._pool.metrics_snapshot()
+        self.metrics.set_ingested(0, self._single.packets_ingested)
         return self.metrics.snapshot(self.occupancy())
 
     def render_metrics(self) -> str:
         """Human-readable metrics summary (the CLI prints this to stderr)."""
-        if self._single is not None:
-            self.metrics.set_ingested(0, self._single.packets_ingested)
-        elif self._process_mode and not self._closed:
-            self._drain_results()
+        if self._pool is not None:
+            return self._pool.render_metrics()
+        self.metrics.set_ingested(0, self._single.packets_ingested)
         return self.metrics.render(self.occupancy())

@@ -1,8 +1,11 @@
-"""Length-prefixed socket frames for partitioned serving.
+"""Length-prefixed socket frames: the one transport between front-end and workers.
 
-The :class:`~repro.serve.partition.FlowPartitioner` front-end and its
-:class:`~repro.serve.instance.DetectorInstance` back-ends speak a small framed
-protocol over one TCP connection per instance.  Every frame is::
+The front-end (:class:`~repro.serve.partition.FlowPartitioner`, which
+:class:`~repro.serve.runtime.ParallelStreamingDetector` runs over local
+workers) and every :class:`~repro.serve.instance.DetectorInstance` speak a
+small framed protocol over one connected socket per worker: one end of a
+``socket.socketpair()`` for a forked local worker, a TCP connection for a
+remote instance.  Every frame is::
 
     <4-byte tag> <u32 little-endian payload length> <payload>
 
@@ -13,20 +16,24 @@ CLI.  Columnar data rides two binary frames built on
 :meth:`~repro.netstack.columns.PacketColumns.pack_block`:
 
 ===========  ==============================================================
-``CTRL``     One JSON object: ``{"op": "hello" | "ready" | "poll" | "close"}``
-             plus op-specific fields.
+``CTRL``     One JSON object with an ``op``.  Worker to front-end: ``ready``
+             (first frame: pid, threshold) or ``failed`` (the worker cannot
+             score; it keeps answering).  Front-end to worker: ``poll``,
+             ``flush``, ``close`` and the fault-injection ``wedge``.
 ``BLCK``     ``u64 block id`` + a packed column block (broadcast once per
-             capture block; instances cache a FIFO window of unpacked blocks).
+             capture block; workers cache a FIFO window of unpacked blocks).
 ``ROWS``     ``u64 block id, u32 count`` + ``int64[count]`` row indices +
-             ``float64[count]`` per-row ingest clocks — the per-instance row
+             ``float64[count]`` per-row ingest clocks — the per-worker row
              slice of a broadcast block.
 ``PKTS``     NDJSON, one ``{"ts", "data", "clock"}`` line per object packet
              (the :class:`~repro.serve.sources.NDJSONSource` line format plus
              the routed stream clock).
-``EVNT``     NDJSON, one :meth:`DetectionEvent.to_dict` document per line —
-             interim events flowing back to the front-end mid-stream.
+``EVNT``     The answer to one ``ROWS``/``PKTS`` frame or ``poll``/``flush``
+             op: a header line (the worker's metrics state and how many
+             trailing events the flush produced), then one
+             :meth:`DetectionEvent.to_dict` document per line.
 ``DONE``     One JSON object closing the stream: the final drain's events,
-             the instance's metrics snapshot and flow-table occupancy.
+             the worker's metrics and flow-table occupancy.
 ===========  ==============================================================
 
 Framing is symmetric: either side sends with :func:`send_frame` and receives
@@ -271,3 +278,23 @@ def encode_events(events: list[DetectionEvent]) -> bytes:
 
 def decode_events(payload: memoryview | bytes) -> list[DetectionEvent]:
     return [event_from_dict(record) for record in iter_ndjson(payload)]
+
+
+def encode_answer(state: dict[str, object], events: list[DetectionEvent], flushed: int) -> bytes:
+    """``EVNT`` answer payload: header line, then the events.
+
+    The last ``flushed`` events are the ones a ``flush`` op produced.
+    """
+    header = json.dumps({"state": state, "flushed": flushed}).encode("utf-8")
+    return header + b"\n" + encode_events(events) if events else header
+
+
+def decode_answer(
+    payload: memoryview | bytes,
+) -> tuple[dict[str, object], list[DetectionEvent], int]:
+    """``(state, events, flushed)`` of an ``EVNT`` answer."""
+    header, _, body = bytes(payload).partition(b"\n")
+    record = json.loads(header)
+    if not isinstance(record, dict) or "state" not in record:
+        raise WireError(f"malformed EVNT header: {record!r}")
+    return record["state"], decode_events(body), int(record["flushed"])

@@ -2,17 +2,15 @@
 
 The acceptance criterion for the adaptive-chunking work: under induced
 backpressure the runtime's chunk size **demonstrably changes** — the growth
-is driven by the real signal path (``queue.Full`` on a shard submit), not by
-poking the controller directly.
+is driven by the real signal path (a worker's answer taking longer than one
+wait slice), not by poking the controller directly.
 """
 
 from __future__ import annotations
 
-import queue
-
 import pytest
 
-from repro.serve import ParallelStreamingDetector
+from repro.serve import ParallelStreamingDetector, partition
 from repro.serve.metrics import AdaptiveChunker, DropPolicy, StreamingMetrics
 from tests.serve.test_flood import syn_flood
 
@@ -138,45 +136,40 @@ class TestMetricsSurface:
 
 
 class TestRuntimeBackpressure:
-    def test_induced_backpressure_grows_the_chunk_size(self, trained_clap):
+    def test_induced_backpressure_grows_the_chunk_size(self, trained_clap, monkeypatch):
         # Deterministic controller: no cooldown, shrink disabled, so the
-        # induced queue.Full signals map 1:1 onto doublings.
+        # induced slow answers map 1:1 onto doublings.
         chunker = AdaptiveChunker(initial=64, cooldown=0, target_flush_seconds=1e9)
         detector = ParallelStreamingDetector(
             trained_clap,
-            # workers=1 short-circuits to the queue-less single detector;
-            # two thread shards exercise the real submit path.
             workers=2,
+            worker_mode="process",
             chunk_size=chunker,
+            queue_depth=1,
             idle_timeout=1e9,
             close_grace=0.5,
             max_flows=16,
             drop_policy=DropPolicy(mode="drop"),
         )
-        rejections = {"left": 3}
-        originals = []
-        for shard in detector._shards:
-            real_put_nowait = shard.queue.put_nowait
-            originals.append((shard.queue, real_put_nowait))
+        real_select = partition.select.select
+        waits = {"slow": 3, "last_slow": False}
 
-            def flaky_put_nowait(item, _real=real_put_nowait):
-                # Simulate a backed-up shard through the runtime's own
-                # signal path: the first submits see a full queue.
-                if rejections["left"]:
-                    rejections["left"] -= 1
-                    raise queue.Full
-                return _real(item)
+        def slow_select(readable, writable, errors, timeout):
+            # Simulate a backed-up worker through the front-end's own signal
+            # path: three waits for an answer each see one empty slice.
+            if timeout and waits["slow"] and not waits["last_slow"]:
+                waits["slow"] -= 1
+                waits["last_slow"] = True
+                return [], [], []
+            waits["last_slow"] = False
+            return real_select(readable, writable, errors, timeout)
 
-            shard.queue.put_nowait = flaky_put_nowait
-        try:
-            assert detector._chunk_target() == 64
-            for packet in syn_flood(1200):
-                detector.ingest(packet)
-            detector.close()
-        finally:
-            for shard_queue, real_put_nowait in originals:
-                shard_queue.put_nowait = real_put_nowait
-        # 64 -> 128 -> 256 -> 512: every induced queue.Full grew the chunk.
+        monkeypatch.setattr(partition.select, "select", slow_select)
+        assert detector._pool._chunk_target() == 64
+        for packet in syn_flood(1200):
+            detector.ingest(packet)
+        detector.close()
+        # 64 -> 128 -> 256 -> 512: every induced slow answer grew the chunk.
         assert chunker.size == 512
         assert chunker.grow_events == 3
         assert chunker.backpressure_events == 3
@@ -185,14 +178,16 @@ class TestRuntimeBackpressure:
         assert "chunking: size=512" in detector.render_metrics()
 
     def test_adaptive_is_the_default_and_fixed_opts_out(self, trained_clap):
-        adaptive = ParallelStreamingDetector(trained_clap, workers=1)
+        adaptive = ParallelStreamingDetector(trained_clap, workers=1, worker_mode="process")
         try:
             assert adaptive.metrics_snapshot()["adaptive_chunking"] is not None
         finally:
             adaptive.close()
-        fixed = ParallelStreamingDetector(trained_clap, workers=1, chunk_size=32)
+        fixed = ParallelStreamingDetector(
+            trained_clap, workers=1, worker_mode="process", chunk_size=32
+        )
         try:
-            assert fixed._chunk_target() == 32
+            assert fixed._pool._chunk_target() == 32
             assert fixed.metrics_snapshot()["adaptive_chunking"] is None
         finally:
             fixed.close()

@@ -455,7 +455,7 @@ class TestWorkerFaults:
         detector.poll(76.0)
         events.extend(detector.flush())
         events.extend(detector.events())
-        victim = detector._shards[0]
+        victim = detector._pool._instances[0]
         os.kill(victim.process.pid, signal.SIGKILL)
         # A flush barrier forces the parent to notice the dead worker and
         # respawn it before any second-half packet is routed its way.

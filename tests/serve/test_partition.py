@@ -295,7 +295,7 @@ class TestPartitionerValidation:
 
 # ---------------------------------------------------------------- equivalence
 class TestPartitionedEquivalence:
-    @pytest.mark.parametrize("instances", [1, 2])
+    @pytest.mark.parametrize("instances", [1, 2, 4])
     def test_object_path_matches_single_detector(
         self, partition_model_dir, replay_packets, baseline_events, instances
     ):

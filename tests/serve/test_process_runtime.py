@@ -1,31 +1,39 @@
-"""Process-backed shard pool: thread/process equivalence, parity, cleanup.
+"""Local worker processes: equivalence, parity, the in-flight bound, cleanup.
 
-The ISSUE-5 acceptance criteria: ``worker_mode="process"`` emits the
-identical event set (same keys, scores within 1e-9, same ``(first_seen,
-key)`` close order) as the thread runtime at workers ∈ {1, 2, 4}, on both
-columnar and object ingest; metrics aggregate across processes; and the
-lifecycle bugs (run() leaking workers on a source error, close() after a
-worker failure) stay fixed.
+``worker_mode="process"`` emits the identical event set (same keys, scores
+within 1e-9, same ``(first_seen, key)`` close order) as one in-process
+detector at workers ∈ {1, 2, 4}, on both columnar and object ingest, and
+from pcap bytes with blocks small enough that connections span them;
+metrics aggregate across processes; no worker ever has more than
+``queue_depth`` frames unanswered; and the lifecycle bugs (run() leaking
+workers on a source error, close() after a worker failure) stay fixed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
 from repro.netstack.columns import PacketColumns
-from repro.netstack.flow import CompletionReason
+from repro.netstack.flow import CompletionReason, assemble_connections
 from repro.netstack.flow import packet_stream as _packet_stream
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.serve import (
+    DetectorInstance,
     DropPolicy,
+    FaultPlan,
+    FlowPartitioner,
     FlushPolicy,
+    InstanceConfig,
     IterableSource,
     ParallelStreamingDetector,
     StreamingDetector,
     StreamingMetrics,
     Tick,
+    open_source,
 )
 from repro.traffic.generator import TrafficGenerator
 
@@ -61,6 +69,11 @@ def _drain_all(detector, stream):
     return interim + list(detector.events())
 
 
+def _single_rows(clap, stream, **options):
+    """Events of one in-process detector: the reference of every test here."""
+    return _rows(_drain_all(StreamingDetector(clap, **options), stream))
+
+
 def _column_stream(connections):
     """The columnar replay of ``connections``: views over one shared block."""
     return PacketColumns.from_packets(_packet_stream(connections)).views()
@@ -73,25 +86,24 @@ def _shard_processes():
 class TestProcessEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("ingest", ["object", "columnar"])
-    def test_same_events_as_thread_runtime(
+    def test_same_events_as_single_detector(
         self, trained_clap, clap_model_dir, small_dataset, workers, ingest
     ):
-        """The acceptance criterion: identical event set vs the thread
-        runtime at every worker count, on both ingest paths."""
+        """The acceptance criterion: identical event set vs one in-process
+        detector at every worker count, on both ingest paths."""
 
         def stream():
             if ingest == "columnar":
                 return _column_stream(small_dataset.test)
             return _packet_stream(small_dataset.test)
 
-        thread = ParallelStreamingDetector(
+        expected = _single_rows(
             trained_clap,
-            workers=workers,
+            stream(),
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
         )
-        expected = _rows(_drain_all(thread, stream()))
 
         process = ParallelStreamingDetector(
             trained_clap,
@@ -211,9 +223,9 @@ class TestProcessEquivalence:
 
 
 class TestBackendProcessParity:
-    """ISSUE-6 satellite: converted sequence backends must survive the
-    process runtime's mmap model sharing — workers reconstruct the backend
-    named in the artifact and score identically to the thread runtime."""
+    """Converted sequence backends must survive the process runtime's mmap
+    model sharing — workers reconstruct the backend named in the artifact
+    and score identically to one in-process detector."""
 
     @pytest.fixture(scope="class", params=["gru-f32", "quantized-gru"])
     def backend_setup(self, request, trained_clap, tmp_path_factory):
@@ -222,16 +234,15 @@ class TestBackendProcessParity:
         converted.save(directory)
         return request.param, converted, directory
 
-    def test_process_workers_match_thread_mode(self, backend_setup, small_dataset):
+    def test_process_workers_match_single_detector(self, backend_setup, small_dataset):
         backend, converted, model_dir = backend_setup
-        thread = ParallelStreamingDetector(
+        expected = _single_rows(
             converted,
-            workers=2,
+            _packet_stream(small_dataset.test),
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
         )
-        expected = _rows(_drain_all(thread, _packet_stream(small_dataset.test)))
 
         process = ParallelStreamingDetector(
             converted,
@@ -246,14 +257,16 @@ class TestBackendProcessParity:
         assert [row[:2] for row in got] == [row[:2] for row in expected]
         assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
 
-    def test_temp_save_path_ships_the_converted_backend(self, backend_setup, small_dataset):
-        """With no model_dir the runtime saves the (converted) pipeline to a
-        temporary artifact for its workers — the conversion must not be lost."""
+    def test_inherited_model_keeps_the_converted_backend(self, backend_setup, small_dataset):
+        """With no model_dir the workers inherit the (converted) pipeline
+        across the fork — the conversion must not be lost."""
         backend, converted, _ = backend_setup
-        thread = ParallelStreamingDetector(
-            converted, workers=2, idle_timeout=1e9, close_grace=1e9
+        expected = _single_rows(
+            converted,
+            _packet_stream(small_dataset.test[:6]),
+            idle_timeout=1e9,
+            close_grace=1e9,
         )
-        expected = _rows(_drain_all(thread, _packet_stream(small_dataset.test[:6])))
 
         process = ParallelStreamingDetector(
             converted,
@@ -292,14 +305,13 @@ class TestMetricsParity:
     def test_drain_metrics_agree_across_worker_counts_and_modes(
         self, trained_clap, clap_model_dir
     ):
-        """Satellite regression: workers=1 used to miss DRAIN completions
-        (close() bypassed the drop-policy accounting), so its counters
-        diverged from every sharded configuration's."""
+        """Regression: workers=1 used to miss DRAIN completions (close()
+        bypassed the drop-policy accounting), so its counters diverged from
+        every multi-worker configuration's."""
         connections = _sequential_connections(8)
         snapshots = {}
         for label, kwargs in {
             "single": dict(workers=1),
-            "threads": dict(workers=4),
             "processes": dict(workers=4, worker_mode="process", model_dir=clap_model_dir),
         }.items():
             detector = ParallelStreamingDetector(
@@ -308,7 +320,7 @@ class TestMetricsParity:
             detector.ingest_many(_packet_stream(connections))
             detector.close()
             snapshots[label] = _parity_keys(detector.metrics_snapshot())
-        assert snapshots["single"] == snapshots["threads"] == snapshots["processes"]
+        assert snapshots["single"] == snapshots["processes"]
         assert snapshots["single"]["completions_by_reason"]["drain"] == len(connections)
 
     def test_flood_metrics_agree_across_worker_counts_and_modes(
@@ -318,7 +330,6 @@ class TestMetricsParity:
         snapshots = {}
         for label, kwargs in {
             "single": dict(workers=1),
-            "threads": dict(workers=2),
             "processes": dict(workers=2, worker_mode="process", model_dir=clap_model_dir),
         }.items():
             detector = ParallelStreamingDetector(
@@ -388,24 +399,6 @@ class TestLifecycle:
             process.join(timeout=10.0)
         assert not _shard_processes()
 
-    def test_run_source_error_joins_thread_workers_too(self, trained_clap):
-        connections = _sequential_connections(4)
-
-        def broken():
-            yield from _packet_stream(connections)[:10]
-            raise ValueError("malformed record")
-
-        detector = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1e9
-        )
-        with pytest.raises(ValueError, match="malformed record"):
-            detector.run(IterableSource(broken()))
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("clap-shard-")
-        ]
-
     def test_worker_failure_surfaces_and_still_joins(self, trained_clap, tmp_path):
         """A worker that cannot even load its model reports the failure; the
         parent's close() still joins every process and raises."""
@@ -466,8 +459,10 @@ class TestLifecycle:
         self, trained_clap, clap_model_dir
     ):
         """Review regression: a worker killed outright (kill -9 / OOM) stops
-        draining its bounded queue; the parent's puts must detect the dead
-        process instead of blocking forever, and close() must still return."""
+        answering; the front-end must detect the dead process instead of
+        blocking forever, and close() must still return.  Under ``fail`` the
+        pool is torn down when the loss is raised, so close() has nothing
+        left to report."""
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=1,
@@ -479,24 +474,24 @@ class TestLifecycle:
             close_grace=1e9,
         )
         stream = _packet_stream(_sequential_connections(30))
-        detector._shards[0].process.kill()
-        detector._shards[0].process.join(timeout=10.0)
+        worker = detector._pool._instances[0].process
+        worker.kill()
+        worker.join(timeout=10.0)
         with pytest.raises(RuntimeError, match="died unexpectedly"):
             for packet in stream:
                 detector.ingest(packet)
-        with pytest.raises(RuntimeError, match="died unexpectedly"):
-            detector.close()
+        assert detector.close() == []
         assert not _shard_processes()
 
     def test_revisited_block_past_the_cache_window_is_rebroadcast(
         self, trained_clap, clap_model_dir
     ):
-        """Review regression: parent and worker block caches must evict in
-        lockstep (strict FIFO).  A block revisited after _BLOCK_CACHE_DEPTH
-        newer blocks used to stay 'live' on the parent (move_to_end) while
-        the workers had already evicted it — rows then failed with KeyError
-        on valid input.  Now it is re-broadcast and the stream completes,
-        equivalent to the thread runtime."""
+        """Review regression: front-end and worker block caches must evict
+        in lockstep (strict FIFO).  A block revisited after
+        BLOCK_CACHE_DEPTH newer blocks used to stay 'live' on the front-end
+        while the workers had already evicted it — rows then failed on
+        valid input.  Now it is re-broadcast and the stream completes,
+        equivalent to one in-process detector."""
         connections = _sequential_connections(12)
         blocks = [
             PacketColumns.from_packets(_packet_stream([connection])).views()
@@ -509,10 +504,7 @@ class TestLifecycle:
             items.extend(views)
         items.extend(blocks[0][3:])
 
-        thread = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1e9
-        )
-        expected = _rows(_drain_all(thread, list(items)))
+        expected = _single_rows(trained_clap, list(items), idle_timeout=1e9, close_grace=1e9)
 
         process = ParallelStreamingDetector(
             trained_clap,
@@ -529,6 +521,8 @@ class TestLifecycle:
     def test_validation(self, trained_clap):
         with pytest.raises(ValueError):
             ParallelStreamingDetector(trained_clap, worker_mode="fibers")
+        with pytest.raises(ValueError, match="--worker-mode process"):
+            ParallelStreamingDetector(trained_clap, workers=2)
         with pytest.raises(ValueError):
             ParallelStreamingDetector(
                 trained_clap, workers=2, worker_mode="process", max_flows=0
@@ -566,23 +560,15 @@ class TestWorkerStateMerging:
         assert "scored=3" in rendered and "n=1" in rendered
 
 
-class TestZeroCopyAccounting:
-    """The block data path's copy ledger (the scale-out acceptance check).
-
-    Blocks at or above the shared-memory threshold are broadcast once as a
-    POSIX shm segment and **mapped** by every process worker — zero payload
-    copies after the broadcast, observable as ``payload_bytes_copied == 0``.
-    Blocks under the threshold ride the pipe, which inherently copies; the
-    same counter proves it is actually measuring.
-    """
-
-    def _flood_views(self, rows):
+class TestBlockBroadcast:
+    def test_each_capture_block_crosses_to_the_workers_once(
+        self, trained_clap, clap_model_dir
+    ):
+        """One capture block is broadcast once, whatever the worker count;
+        the front-end counts its packed bytes."""
         from repro.traffic.flood import syn_flood_columns
 
-        columns = syn_flood_columns(rows)
-        return columns, columns.views()
-
-    def _replay(self, trained_clap, clap_model_dir, views):
+        columns = syn_flood_columns(1024)
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
@@ -593,36 +579,133 @@ class TestZeroCopyAccounting:
             max_flows=32,
             drop_policy=DropPolicy(mode="drop"),
         )
-        detector.ingest_many(views)
+        detector.ingest_many(columns.views())
         detector.close()
-        return detector.metrics_snapshot()
+        broadcast = detector.metrics_snapshot()["shared_memory"]
+        assert broadcast["segments_created"] == 1
+        assert broadcast["bytes_broadcast"] == len(columns.pack_block())
 
-    def test_shm_blocks_are_never_copied(self, trained_clap, clap_model_dir):
-        from repro.serve.runtime import _SHM_MIN_BYTES
 
-        columns, views = self._flood_views(1024)
-        payload_bytes = len(columns.pack_block())
-        assert payload_bytes >= _SHM_MIN_BYTES  # the workload must take the shm path
-        snapshot = self._replay(trained_clap, clap_model_dir, views)
-        shm = snapshot["shared_memory"]
-        assert shm["segments_created"] == 1
-        assert shm["bytes_broadcast"] == payload_bytes
-        assert shm["segments_high_water"] >= 1
-        # The zero-copy contract: across both workers, not one payload byte
-        # was copied after the broadcast — every column is a segment mapping.
-        assert shm["payload_bytes_copied"] == 0
+class TestCaptureLevelEquivalence:
+    """From pcap bytes, with read blocks so small that every connection spans
+    several of them and blocks fall out of the 8-deep FIFO window: rows of
+    an evicted block must be re-broadcast, and the events must still equal
+    the offline reference at 1e-9."""
 
-    def test_small_blocks_ride_the_pipe_and_count_their_copies(
-        self, trained_clap, clap_model_dir
+    @pytest.fixture(scope="class")
+    def capture(self, trained_clap, tmp_path_factory):
+        path = tmp_path_factory.mktemp("capture") / "spanning.pcap"
+        write_pcap(path, TrafficGenerator(seed=41).generate_packets(24))
+        connections = assemble_connections(read_packet_columns(path).views())
+        reference = sorted(
+            (str(result.key), result.packet_count, result.score)
+            for result in trained_clap.detect_batch(connections)
+        )
+        return path, reference
+
+    @staticmethod
+    def _assert_matches(events, reference):
+        got = _rows(events)
+        assert [row[:2] for row in got] == [row[:2] for row in reference]
+        assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, reference))
+
+    def _stream(self, path):
+        source = open_source(path, block_bytes=4096)
+        views = list(source)
+        blocks = {id(view.columns) for view in views}
+        assert len(blocks) > 2 * 8, "the capture must overflow the block window"
+        return views
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_process_workers_match_the_offline_reference(
+        self, trained_clap, clap_model_dir, capture, workers
     ):
-        from repro.serve.runtime import _SHM_MIN_BYTES
+        path, reference = capture
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=workers,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            idle_timeout=1e9,
+            close_grace=1e9,
+        )
+        self._assert_matches(_drain_all(detector, self._stream(path)), reference)
 
-        columns, views = self._flood_views(64)
-        payload_bytes = len(columns.pack_block())
-        assert payload_bytes < _SHM_MIN_BYTES
-        snapshot = self._replay(trained_clap, clap_model_dir, views)
-        shm = snapshot["shared_memory"]
-        assert shm["segments_created"] == 0
-        assert shm["bytes_broadcast"] == 0
-        # Each of the two workers materialised its own pipe copy.
-        assert shm["payload_bytes_copied"] == 2 * payload_bytes
+    def test_one_remote_instance_matches_the_offline_reference(self, trained_clap, capture):
+        path, reference = capture
+        instance = DetectorInstance(
+            trained_clap, config=InstanceConfig(idle_timeout=1e9, close_grace=1e9)
+        )
+        server = threading.Thread(target=instance.serve, daemon=True)
+        server.start()
+        partitioner = FlowPartitioner(endpoints=[instance.address])
+        events = _drain_all(partitioner, self._stream(path))
+        server.join(timeout=30.0)
+        assert not server.is_alive()
+        self._assert_matches(events, reference)
+
+
+class TestInFlightBound:
+    """No worker ever has more than ``queue_depth`` frames unanswered, and a
+    wedged worker is declared lost at the deadline instead of absorbing a
+    socket buffer of rows."""
+
+    QUEUE_DEPTH = 2
+
+    @pytest.fixture
+    def unanswered(self, monkeypatch):
+        """Every worker's unanswered-frame count right after each send."""
+        seen: list[tuple[int, int]] = []
+        send = FlowPartitioner._send
+
+        def counting_send(self, instance, tag, *chunks, answered=False):
+            send(self, instance, tag, *chunks, answered=answered)
+            seen.append((instance.index, instance.in_flight))
+
+        monkeypatch.setattr(FlowPartitioner, "_send", counting_send)
+        return seen
+
+    def _detector(self, trained_clap, clap_model_dir, **options):
+        return ParallelStreamingDetector(
+            trained_clap,
+            workers=2,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            chunk_size=1,
+            queue_depth=self.QUEUE_DEPTH,
+            idle_timeout=50.0,
+            close_grace=0.5,
+            **options,
+        )
+
+    def test_unanswered_frames_never_exceed_queue_depth(
+        self, trained_clap, clap_model_dir, unanswered
+    ):
+        connections = _sequential_connections(6, spacing=1.0)
+        detector = self._detector(trained_clap, clap_model_dir)
+        events = _drain_all(detector, _packet_stream(connections))
+        assert len(events) == len(connections)
+        assert len(unanswered) > len(_packet_stream(connections)) // 2
+        assert max(depth for _, depth in unanswered) <= self.QUEUE_DEPTH
+        assert detector.metrics_snapshot()["max_queue_depth"] <= self.QUEUE_DEPTH
+
+    def test_wedged_worker_is_lost_at_the_deadline(
+        self, trained_clap, clap_model_dir, unanswered
+    ):
+        connections = _sequential_connections(6, spacing=1.0)
+        plan = FaultPlan().wedge_worker(0, at_packet=10)
+        detector = self._detector(
+            trained_clap,
+            clap_model_dir,
+            on_worker_failure="degrade",
+            stall_deadline=1.0,
+            fault_plan=plan,
+        )
+        started = time.monotonic()
+        events = _drain_all(detector, _packet_stream(connections))
+        assert time.monotonic() - started < 15.0
+        assert events, "the survivor must still score its flows"
+        losses = detector.degradation_report().losses
+        assert [loss.index for loss in losses if "wedged" in loss.reason] == [0]
+        assert max(depth for _, depth in unanswered) <= self.QUEUE_DEPTH
+        assert not _shard_processes()

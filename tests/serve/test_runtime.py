@@ -1,4 +1,7 @@
-"""ParallelStreamingDetector: sharded equivalence, ordering, backpressure."""
+"""ParallelStreamingDetector: multi-worker equivalence, ordering, failures.
+
+One worker runs in-process; more run as local worker processes.
+"""
 
 from __future__ import annotations
 
@@ -59,6 +62,7 @@ class TestShardedEquivalence:
         parallel = ParallelStreamingDetector(
             trained_clap,
             workers=workers,
+            worker_mode="process" if workers > 1 else "thread",
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
@@ -79,7 +83,11 @@ class TestShardedEquivalence:
         expected = _rows(baseline.events())
 
         parallel = ParallelStreamingDetector(
-            trained_clap, workers=workers, idle_timeout=50.0, close_grace=0.5
+            trained_clap,
+            workers=workers,
+            worker_mode="process" if workers > 1 else "thread",
+            idle_timeout=50.0,
+            close_grace=0.5,
         )
         got = _rows(_drain_all(parallel, _packet_stream(connections)))
         assert [row[:2] for row in got] == [row[:2] for row in expected]
@@ -95,7 +103,7 @@ class TestShardedEquivalence:
             (str(e.result.key), e.completed_by.value) for e in baseline.events()
         )
         parallel = ParallelStreamingDetector(
-            trained_clap, workers=4, idle_timeout=50.0, close_grace=0.5
+            trained_clap, workers=4, worker_mode="process", idle_timeout=50.0, close_grace=0.5
         )
         events = _drain_all(parallel, _packet_stream(connections))
         assert sorted((str(e.result.key), e.completed_by.value) for e in events) == expected
@@ -106,7 +114,11 @@ class TestCloseOrdering:
     def test_close_returns_sorted_events(self, trained_clap, workers):
         connections = _sequential_connections(9)
         detector = ParallelStreamingDetector(
-            trained_clap, workers=workers, idle_timeout=1e9, close_grace=1e9
+            trained_clap,
+            workers=workers,
+            worker_mode="process" if workers > 1 else "thread",
+            idle_timeout=1e9,
+            close_grace=1e9,
         )
         detector.ingest_many(_packet_stream(connections))
         final = detector.close()
@@ -122,6 +134,7 @@ class TestCloseOrdering:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             flush_policy=FlushPolicy(max_batch=2),
             idle_timeout=1e9,
             close_grace=1e9,  # nothing completes before the drain
@@ -133,7 +146,7 @@ class TestCloseOrdering:
         assert order == sorted(order)
 
     def test_close_is_idempotent_and_ingest_after_close_fails(self, trained_clap):
-        detector = ParallelStreamingDetector(trained_clap, workers=2)
+        detector = ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process")
         connections = _sequential_connections(2)
         detector.ingest_many(_packet_stream(connections))
         detector.close()
@@ -144,7 +157,7 @@ class TestCloseOrdering:
     def test_flush_and_poll_after_close_are_safe_noops(self, trained_clap):
         """Regression: flush() after close() used to deadlock on a barrier
         queued to already-joined workers."""
-        detector = ParallelStreamingDetector(trained_clap, workers=2)
+        detector = ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process")
         detector.ingest_many(_packet_stream(_sequential_connections(2)))
         detector.close()
         assert detector.flush() == []
@@ -158,6 +171,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=3,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             on_event=pushed.append,
@@ -174,6 +188,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             threshold=-1.0,  # everything alerts
             idle_timeout=1e9,
             close_grace=1e9,
@@ -190,6 +205,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             flush_policy=FlushPolicy(max_batch=64, max_buffered=1024, auto_flush=False),
             idle_timeout=1e9,
             close_grace=0.5,
@@ -216,7 +232,7 @@ class TestSourcesIntegration:
         # connections complete CLOSED before the final drain.
         items = stream + [Tick(stream[-1].timestamp + 1e6)]
         detector = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1.0
+            trained_clap, workers=2, worker_mode="process", idle_timeout=1e9, close_grace=1.0
         )
         detector.run(IterableSource(items))
         events = list(detector.events())
@@ -230,6 +246,7 @@ class TestDropPolicyAndMetrics:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             max_flows=4,
@@ -250,7 +267,7 @@ class TestDropPolicyAndMetrics:
         connections = _sequential_connections(6)
         stream = _packet_stream(connections)
         detector = ParallelStreamingDetector(
-            trained_clap, workers=3, idle_timeout=1e9, close_grace=1e9
+            trained_clap, workers=3, worker_mode="process", idle_timeout=1e9, close_grace=1e9
         )
         detector.ingest_many(stream)
         detector.close()
@@ -286,6 +303,7 @@ class TestDropPolicyAndMetrics:
         detector = ParallelStreamingDetector(
             _ExplodingClap(),
             workers=2,
+            worker_mode="process",
             flush_policy=FlushPolicy(max_batch=64, auto_flush=False),
             threshold=0.0,
             idle_timeout=1e9,
@@ -297,6 +315,8 @@ class TestDropPolicyAndMetrics:
         # returns from the wait and surfaces the worker failure.
         with pytest.raises(RuntimeError, match="shard worker"):
             detector.flush()
+        with pytest.raises(RuntimeError, match="shard worker"):
+            detector.close()
 
     def test_worker_failure_during_close_surfaces_not_deadlocks(self, trained_clap):
         """Regression: an engine error during the end-of-stream drain left
@@ -310,7 +330,12 @@ class TestDropPolicyAndMetrics:
                 raise RuntimeError("engine blew up")
 
         detector = ParallelStreamingDetector(
-            _ExplodingClap(), workers=2, threshold=0.0, idle_timeout=1e9, close_grace=1e9
+            _ExplodingClap(),
+            workers=2,
+            worker_mode="process",
+            threshold=0.0,
+            idle_timeout=1e9,
+            close_grace=1e9,
         )
         detector.ingest_many(_packet_stream(_sequential_connections(3)))
         with pytest.raises(RuntimeError, match="shard worker"):
@@ -320,9 +345,15 @@ class TestDropPolicyAndMetrics:
         with pytest.raises(ValueError):
             ParallelStreamingDetector(trained_clap, workers=0)
         with pytest.raises(ValueError):
-            ParallelStreamingDetector(trained_clap, workers=2, chunk_size=0)
+            ParallelStreamingDetector(trained_clap, workers=2)
         with pytest.raises(ValueError):
-            ParallelStreamingDetector(trained_clap, workers=2, queue_depth=0)
+            ParallelStreamingDetector(
+                trained_clap, workers=2, worker_mode="process", chunk_size=0
+            )
+        with pytest.raises(ValueError):
+            ParallelStreamingDetector(
+                trained_clap, workers=2, worker_mode="process", queue_depth=0
+            )
         with pytest.raises(ValueError):
             DropPolicy(mode="maybe")
         with pytest.raises(ValueError):

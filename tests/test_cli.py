@@ -284,8 +284,7 @@ class TestStreamCommand:
         self, trained_model_dir, tmp_path, capsys
     ):
         """--backend on stream serves the same converted model as on score —
-        thread and process workers included (the process pool receives the
-        converted model via a temporary artifact)."""
+        process workers included (they inherit the converted model)."""
         capture = tmp_path / "backend-stream.pcap"
         main(["generate", str(capture), "--connections", "4", "--seed", "29"])
         capsys.readouterr()
@@ -322,7 +321,8 @@ class TestStreamCommand:
         capsys.readouterr()
         assert main(["stream", str(trained_model_dir), str(capture)]) == 0
         single = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
-        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "4"]) == 0
+        assert main(["stream", str(trained_model_dir), str(capture),
+                     "--workers", "4", "--worker-mode", "process"]) == 0
         sharded = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
         assert sorted(
             (e["connection"], e["packet_count"], round(e["score"], 9)) for e in single
@@ -344,15 +344,15 @@ class TestStreamCommand:
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
         assert len(events) == 4
 
-    def test_stream_process_workers_match_thread_workers(
+    def test_stream_process_workers_match_the_single_worker(
         self, trained_model_dir, tmp_path, capsys
     ):
-        """--worker-mode process emits the same events as the thread runtime
-        (the workers mmap the model directory the CLI already has)."""
+        """--worker-mode process emits the same events as one in-process
+        worker (the workers mmap the model directory the CLI already has)."""
         capture = tmp_path / "proc.pcap"
         main(["generate", str(capture), "--connections", "6", "--seed", "29"])
         capsys.readouterr()
-        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "2"]) == 0
+        assert main(["stream", str(trained_model_dir), str(capture)]) == 0
         threaded = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
         assert main(["stream", str(trained_model_dir), str(capture),
                      "--workers", "2", "--worker-mode", "process"]) == 0
@@ -387,10 +387,22 @@ class TestStreamCommand:
         main(["generate", str(capture), "--connections", "3", "--seed", "11"])
         capsys.readouterr()
         assert main(["stream", str(trained_model_dir), str(capture),
-                     "--workers", "2", "--metrics"]) == 0
+                     "--workers", "2", "--worker-mode", "process", "--metrics"]) == 0
         err = capsys.readouterr().err
         assert "shards=2" in err
         assert "flush latency" in err
+
+    def test_stream_thread_workers_beyond_one_name_process_mode(
+        self, trained_model_dir, tmp_path, capsys
+    ):
+        capture = tmp_path / "thr.pcap"
+        main(["generate", str(capture), "--connections", "2", "--seed", "5"])
+        capsys.readouterr()
+        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "2"]) == 2
+        assert "--worker-mode process" in capsys.readouterr().err
+        assert main(["stream", str(trained_model_dir), str(capture),
+                     "--instances", "2", "--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_stream_drop_policy_validation(self, trained_model_dir, tmp_path, capsys):
         capture = tmp_path / "dp.pcap"

@@ -2,13 +2,15 @@
 """End-to-end streaming smoke test for CI.
 
 Exercises the full operational path with no fixtures: synthesise a capture,
-train a deliberately tiny model, replay the capture through ``repro stream``
-with four thread shard workers and again with two *process* shard workers
-(``--worker-mode process``: GIL-free pool, model shared via read-only mmap),
-and fail on a non-zero exit code, zero emitted events, or the two runs
-disagreeing on any connection's score.  The point is not accuracy — it is
-that the sharded runtime's packets-in/alerts-out pipeline holds together as
-a process would run it, in both worker substrates.
+train a deliberately tiny model, and replay the capture through
+``repro stream`` three ways — one in-process worker (``--workers 1``), two
+local worker processes (``--workers 2 --worker-mode process``) and two
+locally spawned detector instances (``--instances 2``).  The last two go
+through the same socket transport.  Fails on a non-zero exit code, a wrong
+event count, or any connection whose score differs by more than 1e-9
+between the runs.  The point is not accuracy — it is that the
+packets-in/alerts-out pipeline holds together as a process would run it, at
+every topology.
 
 Run with:  PYTHONPATH=src python tools/stream_smoke.py
 """
@@ -25,6 +27,12 @@ from pathlib import Path
 from repro.cli import main as cli_main
 
 CONNECTIONS = 30
+TOLERANCE = 1e-9
+TOPOLOGIES = {
+    "1 in-process worker": ["--workers", "1"],
+    "2 worker processes": ["--workers", "2", "--worker-mode", "process"],
+    "2 detector instances": ["--instances", "2"],
+}
 
 
 def run(argv: list, capture: bool = False) -> tuple:
@@ -38,6 +46,11 @@ def run(argv: list, capture: bool = False) -> tuple:
     return code, buffer.getvalue()
 
 
+def fail(message: str) -> int:
+    print(f"smoke FAILED: {message}", file=sys.stderr)
+    return 1
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
@@ -47,57 +60,33 @@ def main() -> int:
         code, _ = run(["generate", str(capture_path),
                        "--connections", str(CONNECTIONS), "--seed", "7"])
         if code != 0:
-            print("smoke FAILED: generate exited non-zero", file=sys.stderr)
-            return 1
-
+            return fail("generate exited non-zero")
         code, _ = run(["train", str(model_dir), "--pcap", str(capture_path),
                        "--fast", "--rnn-epochs", "3", "--ae-epochs", "10", "--seed", "7"])
         if code != 0:
-            print("smoke FAILED: train exited non-zero", file=sys.stderr)
-            return 1
+            return fail("train exited non-zero")
 
-        code, out = run(["stream", str(model_dir), str(capture_path),
-                         "--workers", "4", "--metrics"], capture=True)
-        if code != 0:
-            print("smoke FAILED: stream exited non-zero", file=sys.stderr)
-            return 1
-        events = [json.loads(line) for line in out.splitlines() if line.strip()]
-        if not events:
-            print("smoke FAILED: stream emitted zero events", file=sys.stderr)
-            return 1
-        if len(events) != CONNECTIONS:
-            print(
-                f"smoke FAILED: expected {CONNECTIONS} events, got {len(events)}",
-                file=sys.stderr,
-            )
-            return 1
+        scores: dict[str, dict[str, float]] = {}
+        for name, flags in TOPOLOGIES.items():
+            code, out = run(["stream", str(model_dir), str(capture_path), *flags,
+                             "--metrics"], capture=True)
+            if code != 0:
+                return fail(f"stream with {name} exited non-zero")
+            events = [json.loads(line) for line in out.splitlines() if line.strip()]
+            if len(events) != CONNECTIONS:
+                return fail(f"{name}: expected {CONNECTIONS} events, got {len(events)}")
+            scores[name] = {event["connection"]: event["score"] for event in events}
 
-        code, out = run(["stream", str(model_dir), str(capture_path),
-                         "--workers", "2", "--worker-mode", "process",
-                         "--metrics"], capture=True)
-        if code != 0:
-            print("smoke FAILED: process-mode stream exited non-zero", file=sys.stderr)
-            return 1
-        process_events = [json.loads(line) for line in out.splitlines() if line.strip()]
-        if len(process_events) != CONNECTIONS:
-            print(
-                f"smoke FAILED: process mode expected {CONNECTIONS} events, "
-                f"got {len(process_events)}",
-                file=sys.stderr,
-            )
-            return 1
-        rows = sorted((e["connection"], round(e["score"], 9)) for e in events)
-        process_rows = sorted(
-            (e["connection"], round(e["score"], 9)) for e in process_events
-        )
-        if rows != process_rows:
-            print("smoke FAILED: process-mode events diverge from thread mode",
-                  file=sys.stderr)
-            return 1
+        reference_name, reference = next(iter(scores.items()))
+        for name, got in scores.items():
+            if got.keys() != reference.keys():
+                return fail(f"{name} scored other connections than {reference_name}")
+            worst = max(abs(got[key] - reference[key]) for key in reference)
+            if worst > TOLERANCE:
+                return fail(f"{name} scores diverge from {reference_name} by {worst:.3g}")
 
-    print(f"smoke OK: {len(events)} events from {CONNECTIONS} connections "
-          f"through 4 thread shard workers, reproduced identically by "
-          f"2 process shard workers", file=sys.stderr)
+    print(f"smoke OK: {CONNECTIONS} events, score-identical (1e-9) across "
+          f"{', '.join(TOPOLOGIES)}", file=sys.stderr)
     return 0
 
 
