@@ -379,9 +379,6 @@ class StreamingMetrics:
         self.shm_segments_created = 0
         self.shm_bytes_broadcast = 0
         self.shm_segments_high_water = 0
-        # Worker side: payload bytes a worker had to *copy* to materialise a
-        # block (unpacking views the received frame, so this stays zero).
-        self.payload_bytes_copied = 0
         # Degradation accounting (parent side): losses, respawns and the
         # in-flight packets attributed to each loss.  Non-zero only after a
         # fault; the accounting identity packets_routed = packets_scored +
@@ -434,11 +431,6 @@ class StreamingMetrics:
             self.shm_bytes_broadcast += int(nbytes)
             if open_segments > self.shm_segments_high_water:
                 self.shm_segments_high_water = int(open_segments)
-
-    def record_payload_copy(self, nbytes: int) -> None:
-        """A block payload was materialised by copy instead of mapping."""
-        with self._lock:
-            self.payload_bytes_copied += int(nbytes)
 
     def record_flush(self, connections: int, seconds: float) -> None:
         with self._lock:
@@ -493,7 +485,6 @@ class StreamingMetrics:
                 "connections_scored": self.connections_scored,
                 "capacity_drops": self.capacity_drops,
                 "subnet_drops": self.subnet_drops,
-                "payload_bytes_copied": self.payload_bytes_copied,
                 "flush_counts": list(self.flush_latency.counts),
                 "flush_total": self.flush_latency.total,
                 "flush_count": self.flush_latency.count,
@@ -546,7 +537,6 @@ class StreamingMetrics:
             scored = self.connections_scored
             drops = self.capacity_drops
             subnet_drops = self.subnet_drops
-            copied = self.payload_bytes_copied
             max_pending = self.max_pending_depth
             latency = LatencyHistogram(self.flush_latency.edges)
             latency.counts = list(self.flush_latency.counts)
@@ -559,7 +549,6 @@ class StreamingMetrics:
                 scored += state["connections_scored"]  # type: ignore[operator]
                 drops += state["capacity_drops"]  # type: ignore[operator]
                 subnet_drops += state.get("subnet_drops", 0)  # type: ignore[operator]
-                copied += state.get("payload_bytes_copied", 0)  # type: ignore[operator]
                 max_pending = max(max_pending, state["max_pending_depth"])  # type: ignore[type-var]
                 for index, count in enumerate(state["flush_counts"]):  # type: ignore[arg-type]
                     latency.counts[index] += count
@@ -583,7 +572,9 @@ class StreamingMetrics:
                     "segments_created": self.shm_segments_created,
                     "bytes_broadcast": self.shm_bytes_broadcast,
                     "segments_high_water": self.shm_segments_high_water,
-                    "payload_bytes_copied": copied,
+                    # Workers unpack a block as views of the received frame
+                    # and never copy it; the key stays for snapshot readers.
+                    "payload_bytes_copied": 0,
                 },
                 "adaptive_chunking": chunker.state() if chunker is not None else None,
                 "shard_occupancy": list(occupancy) if occupancy is not None else None,
@@ -622,8 +613,7 @@ class StreamingMetrics:
             f"max pending={snap['max_pending_depth']} max queue={snap['max_queue_depth']}",
             f"shared memory: segments={shm['segments_created']} "  # type: ignore[index]
             f"broadcast={shm['bytes_broadcast']}B "  # type: ignore[index]
-            f"high-water={shm['segments_high_water']} "  # type: ignore[index]
-            f"copied={shm['payload_bytes_copied']}B",  # type: ignore[index]
+            f"high-water={shm['segments_high_water']}",  # type: ignore[index]
         ]
         chunking = snap["adaptive_chunking"]
         if chunking is not None:

@@ -349,7 +349,15 @@ class FlowPartitioner:
         # Fork, not spawn: construction returns without waiting for a fresh
         # interpreter to import the model stack, and a forked worker can
         # inherit an in-memory model.
-        self._context = multiprocessing.get_context("fork") if instances else None
+        self._context = None
+        if instances is not None:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise RuntimeError(
+                    f"local {self._kind} workers need the 'fork' start method, "
+                    "which this platform lacks; connect to serve-instance "
+                    "endpoints instead"
+                )
+            self._context = multiprocessing.get_context("fork")
         self._instances: list[_Instance] = []
         try:
             for index in range(self.instances):
@@ -641,8 +649,10 @@ class FlowPartitioner:
     def flush(self) -> list[DetectionEvent]:
         """Score everything buffered on every worker (barrier).
 
-        Returns the events the flush produced, in deterministic order; they
-        are not queued for :meth:`events` again.
+        The flushed events are dispatched (queued for :meth:`events`, pushed
+        to the callbacks) as they arrive, like a single
+        :class:`StreamingDetector`'s; the full list is also returned, in
+        deterministic order.
         """
         if self._closed:
             return []
@@ -908,9 +918,11 @@ class FlowPartitioner:
             instance.report = report
             return
         instance.in_flight -= 1
+        events = self._mark_degraded(events)
         if flushed:
-            instance.flushed.extend(self._mark_degraded(events[len(events) - flushed:]))
-            events = events[: len(events) - flushed]
+            # Flushed events are dispatched like any others and also kept
+            # for flush() to return.
+            instance.flushed.extend(events[len(events) - flushed:])
         self._dispatch(events)
 
     def _died(self, instance: _Instance, error: Exception | None = None) -> Exception:

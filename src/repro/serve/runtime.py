@@ -237,7 +237,8 @@ class ParallelStreamingDetector:
     def flush(self) -> list[DetectionEvent]:
         """Score everything buffered now (a barrier across workers).
 
-        Returns the flushed events in deterministic order.
+        The flushed events are dispatched (queued for :meth:`events`, pushed
+        to the callbacks) and also returned, in deterministic order.
         """
         if self._closed:
             return []

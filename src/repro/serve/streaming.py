@@ -190,9 +190,7 @@ class StreamingDetector:
 
     def poll(self, now: float | None = None) -> None:
         """Advance stream time without a packet (e.g. on a wall-clock tick)."""
-        completions = self.flow_table.poll(now)
-        if completions:
-            self._buffer(completions)
+        self._buffer(self.flow_table.poll(now))
 
     def _buffer(self, completions: list[tuple[Connection, CompletionReason]]) -> None:
         if completions and (self.drop_policy is not None or self.metrics is not None):

@@ -105,12 +105,8 @@ class TestMetricsSurface:
         metrics.attach_chunker(AdaptiveChunker(initial=64))
         metrics.record_shm_segment(1024, 1)
         metrics.record_shm_segment(2048, 2)
-        metrics.record_payload_copy(128)
         rendered = metrics.render()
-        assert (
-            "shared memory: segments=2 broadcast=3072B high-water=2 copied=128B"
-            in rendered
-        )
+        assert "shared memory: segments=2 broadcast=3072B high-water=2" in rendered
         assert "chunking: size=64 grow=0 shrink=0 backpressure=0" in rendered
 
     def test_snapshot_without_chunker_reports_none(self):
@@ -118,19 +114,17 @@ class TestMetricsSurface:
         assert snapshot["adaptive_chunking"] is None
         assert "chunking:" not in StreamingMetrics().render()
 
-    def test_worker_state_carries_copies_and_drives_the_chunker(self):
+    def test_worker_state_drives_the_chunker(self):
         # Process workers flush in their own interpreter; the parent's only
-        # view of their latency (and their payload copies) is the shipped
-        # counter struct.
+        # view of their latency is the shipped counter struct.
         chunker = AdaptiveChunker(initial=256, cooldown=0)
         parent = StreamingMetrics()
         parent.attach_chunker(chunker)
         worker = StreamingMetrics()
-        worker.record_payload_copy(4096)
         worker.record_flush(3, 2.0)
         parent.absorb_worker_state("w0", worker.worker_state())
         snapshot = parent.snapshot()
-        assert snapshot["shared_memory"]["payload_bytes_copied"] == 4096
+        assert snapshot["shared_memory"]["payload_bytes_copied"] == 0
         assert chunker.size == 128  # the 2s flush ran hot
         assert snapshot["adaptive_chunking"]["shrink_events"] == 1
 

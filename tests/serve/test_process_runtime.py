@@ -163,18 +163,25 @@ class TestProcessEquivalence:
         with pytest.raises(RuntimeError):
             detector.ingest(_packet_stream(connections)[0])
 
+    @pytest.mark.parametrize("workers,mode", [(1, "thread"), (2, "process")])
     def test_flush_barrier_scores_everything_pending(
-        self, trained_clap, clap_model_dir
+        self, trained_clap, clap_model_dir, workers, mode
     ):
+        # Flushed events are returned *and* dispatched (callbacks, events(),
+        # counters), in process mode exactly as on one in-process detector.
         connections = _sequential_connections(5)
+        seen, alerted = [], []
         detector = ParallelStreamingDetector(
             trained_clap,
-            workers=2,
-            worker_mode="process",
+            workers=workers,
+            worker_mode=mode,
             model_dir=clap_model_dir,
             flush_policy=FlushPolicy(max_batch=64, max_buffered=1024, auto_flush=False),
+            threshold=0.0,
             idle_timeout=1e9,
             close_grace=0.5,
+            on_event=seen.append,
+            on_alert=alerted.append,
         )
         detector.ingest_many(_packet_stream(connections))
         detector.poll()
@@ -183,6 +190,13 @@ class TestProcessEquivalence:
         order = [(e.first_seen, str(e.result.key)) for e in flushed]
         assert order == sorted(order)
         assert detector.pending_connections == 0
+        keys = sorted(str(e.result.key) for e in flushed)
+        assert sorted(str(e.result.key) for e in seen) == keys
+        assert sorted(str(e.result.key) for e in alerted) == keys
+        assert sorted(str(e.result.key) for e in detector.events()) == keys
+        assert detector.connections_seen == len(flushed)
+        assert detector.alerts_emitted == len(flushed)
+        assert detector.metrics_snapshot()["events_emitted"] == len(flushed)
         detector.close()
 
     def test_run_consumes_a_source_with_ticks(self, trained_clap, clap_model_dir):
