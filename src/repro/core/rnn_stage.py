@@ -79,15 +79,14 @@ class RnnStage:
         self, connections: Sequence[Connection]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Raw features and label indices per connection (labels via conntrack)."""
-        feature_arrays: list[np.ndarray] = []
-        label_arrays: list[np.ndarray] = []
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.extractor.extract_connection(connection)
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
-            feature_arrays.append(features)
-            label_arrays.append(labels)
+        connections = [connection for connection in connections if len(connection)]
+        feature_arrays = self.extractor.extract_packet_trains(
+            [connection.packets for connection in connections]
+        )
+        label_arrays = [
+            np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
+            for connection in connections
+        ]
         return feature_arrays, label_arrays
 
     # -------------------------------------------------------------- training
@@ -166,11 +165,8 @@ class RnnStage:
         names = label_names()
         counts = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
         hits = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.scaler.transform(self.extractor.extract_connection(connection))
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
+        for raw, labels in zip(*self.prepare(connections), strict=True):
+            features = self.scaler.transform(raw)
             predictions = self.model.predict_classes(features[None, :, :])[0]
             for label, prediction in zip(labels, predictions, strict=True):
                 counts[label] += 1
@@ -185,11 +181,8 @@ class RnnStage:
             raise RuntimeError("RnnStage.fit must be called before evaluation")
         correct = 0
         total = 0
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.scaler.transform(self.extractor.extract_connection(connection))
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
+        for raw, labels in zip(*self.prepare(connections), strict=True):
+            features = self.scaler.transform(raw)
             predictions = self.model.predict_classes(features[None, :, :])[0]
             correct += int(np.sum(predictions[: labels.size] == labels))
             total += labels.size

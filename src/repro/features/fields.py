@@ -6,15 +6,19 @@ numbers are made incremental (relative to the connection's initial sequence
 numbers), checksums are turned into validity bits, and timestamps are made
 relative to the connection start.  Everything else is the literal field value.
 
-Two implementations coexist:
+Every extraction runs the columnar path: :func:`extract_columns_segments`
+computes all 32 features for a whole batch of connections as NumPy array
+operations over one :class:`~repro.netstack.columns.PacketColumns`.
+:meth:`RawFeatureExtractor.extract_packet_trains` builds that input
+whatever the packets are: column views over one capture block are indexed in
+place, a batch whose packets come from several blocks (connections that span
+a read boundary) is gathered into batch-sized columns, and packet objects are
+converted once per batch.
 
-* the per-packet path (:meth:`RawFeatureExtractor.extract_packets_reference`)
-  — one Python loop per packet, kept as the tested oracle;
-* the columnar path (:func:`extract_columns_segments`, reached through
-  :meth:`RawFeatureExtractor.extract_packet_trains`) — all 32 features for
-  many connections at once as NumPy array operations over a shared
-  :class:`~repro.netstack.columns.PacketColumns`, numerically identical to
-  the reference (``tests/features/test_columnar_equivalence.py``).
+:meth:`RawFeatureExtractor.extract_packets_reference` — one Python loop per
+packet — is the test oracle only; no serving or training path calls it.  The
+columnar output is bit-identical to it
+(``tests/features/test_columnar_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.features.schema import NUM_RAW_FEATURES
-from repro.netstack.columns import ColumnPacketView, PacketColumns, columns_of_train
+from repro.netstack.columns import ColumnPacketView, PacketColumns, locate_rows
 from repro.netstack.flow import Connection
 from repro.netstack.options import encode_options, summarize_feature_options
 from repro.netstack.packet import Direction, Packet
@@ -57,23 +61,8 @@ class RawFeatureExtractor:
         return self.extract_packets(connection.packets)
 
     def extract_packets(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Extract features for an ordered packet train of one connection.
-
-        Column-backed trains (every packet a
-        :class:`~repro.netstack.columns.ColumnPacketView` over one shared
-        :class:`~repro.netstack.columns.PacketColumns`) take the vectorized
-        path; anything else goes through the per-packet reference.
-        """
-        columns = columns_of_train(packets)
-        if columns is None:
-            return self.extract_packets_reference(packets)
-        size = len(packets)
-        return extract_columns_segments(
-            columns,
-            np.fromiter((packet.index for packet in packets), dtype=np.int64, count=size),
-            np.array([0, size], dtype=np.int64),
-            np.fromiter((int(packet.direction) for packet in packets), dtype=np.int64, count=size),
-        )
+        """Extract features for an ordered packet train of one connection."""
+        return self.extract_packet_trains([packets])[0]
 
     def extract_packets_reference(self, packets: Sequence[Packet]) -> np.ndarray:
         """The per-packet oracle: one Python loop, one row list per packet."""
@@ -90,37 +79,25 @@ class RawFeatureExtractor:
     def extract_packet_trains(self, trains: Sequence[Sequence[Packet]]) -> list[np.ndarray]:
         """Feature matrices for many packet trains (one per connection).
 
-        Trains sharing one :class:`~repro.netstack.columns.PacketColumns` are
-        concatenated and extracted in a single vectorized pass
-        (:func:`extract_columns_segments`); the rest fall back to the
-        per-packet reference.  Output order matches the input.
+        The whole batch is extracted in one vectorized pass
+        (:func:`extract_columns_segments`), wherever its packets live:
+        :func:`~repro.netstack.columns.locate_rows` puts them in one
+        :class:`PacketColumns` (their capture block, rows gathered from
+        several blocks, or packet objects converted once per batch).  Output
+        order matches the input.
         """
-        results: list[np.ndarray | None] = [None] * len(trains)
-        groups: dict[int, tuple[PacketColumns, list[int]]] = {}
-        for train_index, train in enumerate(trains):
-            columns = columns_of_train(train)
-            if columns is None:
-                results[train_index] = self.extract_packets_reference(train)
-            else:
-                groups.setdefault(id(columns), (columns, []))[1].append(train_index)
-        for columns, members in groups.values():
-            index_parts: list[int] = []
-            direction_parts: list[int] = []
-            bounds = [0]
-            for train_index in members:
-                train = trains[train_index]
-                index_parts.extend(packet.index for packet in train)
-                direction_parts.extend(int(packet.direction) for packet in train)
-                bounds.append(len(index_parts))
-            matrix = extract_columns_segments(
-                columns,
-                np.asarray(index_parts, dtype=np.int64),
-                np.asarray(bounds, dtype=np.int64),
-                np.asarray(direction_parts, dtype=np.int64),
-            )
-            for position, train_index in enumerate(members):
-                results[train_index] = matrix[bounds[position] : bounds[position + 1]]
-        return results  # type: ignore[return-value]
+        edges = np.zeros(len(trains) + 1, dtype=np.int64)
+        np.cumsum([len(train) for train in trains], out=edges[1:])
+        packets = [packet for train in trains for packet in train]
+        if not packets:
+            return [np.zeros((0, NUM_RAW_FEATURES), dtype=np.float64) for _ in trains]
+        columns, rows = locate_rows(packets)
+        directions = np.fromiter(
+            (packet.direction for packet in packets), dtype=np.int64, count=len(packets)
+        )
+        # Empty trains repeat an edge; the segments passed on must be non-empty.
+        matrix = extract_columns_segments(columns, rows, np.unique(edges), directions)
+        return [matrix[edges[i] : edges[i + 1]] for i in range(len(trains))]
 
     # ------------------------------------------------------------------ private
     def _build_context(self, packets: Sequence[Packet]) -> _ConnectionContext:

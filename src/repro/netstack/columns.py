@@ -21,6 +21,9 @@ NumPy columns** instead:
   and materialises a full ``Packet`` only on demand.
 * :meth:`PacketColumns.from_packets` converts in-memory packets, so replayed
   object streams can ride the same vectorized feature path.
+* :meth:`PacketColumns.gather` copies chosen rows of several blocks into one
+  backing-free block, so connections that span read blocks are extracted in
+  the same single pass.
 
 The 32 Table-7 features are computed from these columns by
 :meth:`repro.features.fields.RawFeatureExtractor.extract_packet_trains`.
@@ -43,10 +46,10 @@ from repro.netstack.options import (
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.tcp import TCP_BASE_HEADER_LENGTH, TcpFlags
 
-# Column names shared by :meth:`PacketColumns.concatenate` and the dataclass;
-# ``timestamp`` is float64, ``mss``/``ws_shift``/``ut_timeout``/``md5_ok``
-# are float64 feature values, the ``*_ok``/``ts_present``/``ip_options``
-# columns are bool and everything else is int64.
+# Column names shared by :meth:`PacketColumns.concatenate`, ``gather`` and the
+# dataclass; ``timestamp`` is float64, ``mss``/``ws_shift``/``ut_timeout``/
+# ``md5_ok`` are float64 feature values, the ``*_ok``/``ts_present``/
+# ``ip_options`` columns are bool and everything else is int64.
 _ARRAY_FIELDS = (
     "timestamp",
     "src",
@@ -283,17 +286,7 @@ class PacketColumns:
     # ------------------------------------------------------------ constructors
     @classmethod
     def empty(cls) -> "PacketColumns":
-        kwargs = {}
-        for name in _ARRAY_FIELDS:
-            if name == "timestamp":
-                kwargs[name] = np.zeros(0, dtype=np.float64)
-            elif name in ("mss", "ws_shift", "ut_timeout", "md5_ok"):
-                kwargs[name] = np.zeros(0, dtype=np.float64)
-            elif name in ("ip_options", "ip_ok", "tcp_ok", "ts_present"):
-                kwargs[name] = np.zeros(0, dtype=bool)
-            else:
-                kwargs[name] = np.zeros(0, dtype=np.int64)
-        return cls(**kwargs)
+        return cls(**{name: np.zeros(0, dtype=_field_dtype(name)) for name in _ARRAY_FIELDS})
 
     @classmethod
     def concatenate(cls, blocks: Sequence["PacketColumns"]) -> "PacketColumns":
@@ -323,6 +316,27 @@ class PacketColumns:
             for block in blocks:
                 merged.extend(block.packets)
             kwargs["packets"] = merged
+        return cls(**kwargs)
+
+    @classmethod
+    def gather(
+        cls, blocks: Sequence["PacketColumns"], block_of: np.ndarray, rows: np.ndarray
+    ) -> "PacketColumns":
+        """Backing-free columns whose row ``i`` is row ``rows[i]`` of
+        ``blocks[block_of[i]]``.
+
+        Lets one vectorized pass read packets that came from several capture
+        blocks (a connection that spans a read boundary) without
+        materialising any of them; only the header columns are copied.
+        """
+        kwargs = {
+            name: np.empty(rows.shape[0], dtype=_field_dtype(name)) for name in _ARRAY_FIELDS
+        }
+        for code, block in enumerate(blocks):
+            positions = np.flatnonzero(block_of == code)
+            selected = rows[positions]
+            for name in _ARRAY_FIELDS:
+                kwargs[name][positions] = getattr(block, name)[selected]
         return cls(**kwargs)
 
     @classmethod
@@ -884,20 +898,40 @@ def parse_packet_columns(
     )
 
 
-def columns_of_train(packets: Sequence[object]) -> PacketColumns | None:
-    """The shared :class:`PacketColumns` behind ``packets``, or ``None``.
+def locate_rows(packets: Sequence[object]) -> tuple[PacketColumns, np.ndarray]:
+    """One :class:`PacketColumns` holding every packet, and each packet's row.
 
-    A train qualifies for the columnar feature path only when every element
-    is a :class:`ColumnPacketView` over the same columns object (one capture
-    block); anything else extracts through the per-packet reference.
+    Views over a single block index that block in place.  Views over
+    several blocks (connections that span a read boundary) are gathered
+    into one batch-sized, backing-free block; packets that are not views are
+    converted once with :meth:`PacketColumns.from_packets`.
     """
-    if not packets:
-        return None
-    first = packets[0]
-    if type(first) is not ColumnPacketView:
-        return None
-    columns = first.columns
-    for packet in packets:
-        if type(packet) is not ColumnPacketView or packet.columns is not columns:
-            return None
-    return columns
+    count = len(packets)
+    kinds = set(map(type, packets))
+    if ColumnPacketView not in kinds:
+        return PacketColumns.from_packets(packets), np.arange(count, dtype=np.int64)
+    if len(kinds) == 1:
+        owners = [packet.columns for packet in packets]
+        rows = np.fromiter((packet.index for packet in packets), dtype=np.int64, count=count)
+    else:
+        loose = [packet for packet in packets if type(packet) is not ColumnPacketView]
+        converted = PacketColumns.from_packets(loose)
+        loose_rows = iter(range(len(loose)))
+        owners = [
+            packet.columns if type(packet) is ColumnPacketView else converted
+            for packet in packets
+        ]
+        rows = np.fromiter(
+            (
+                packet.index if type(packet) is ColumnPacketView else next(loose_rows)
+                for packet in packets
+            ),
+            dtype=np.int64,
+            count=count,
+        )
+    owner_ids = np.fromiter(map(id, owners), dtype=np.int64, count=count)
+    if (owner_ids == owner_ids[0]).all():
+        return owners[0], rows
+    _, first, block_of = np.unique(owner_ids, return_index=True, return_inverse=True)
+    blocks = [owners[position] for position in first.tolist()]
+    return PacketColumns.gather(blocks, block_of, rows), np.arange(count, dtype=np.int64)

@@ -6,7 +6,8 @@ equal — ``np.array_equal``, not allclose — to the per-packet reference
 extractor on every input the system can see:
 
 * every attack scenario in :mod:`repro.attacks` (all 73 strategies), both as
-  in-memory packet objects and after a pcap round trip;
+  in-memory packet objects and after a pcap round trip — read as one block
+  and in 4 KiB blocks, so connections span read boundaries;
 * hand-built wire-level edge cases: malformed and duplicate TCP options, bad
   IP/TCP checksums, reserved header bits, sequence/ACK/TSval wraparound,
   truncated and oversized header-length fields, connections shorter than the
@@ -33,30 +34,73 @@ from repro.netstack.options import (
     WindowScale,
 )
 from repro.netstack.packet import Direction, Packet
-from repro.netstack.pcap import PcapWriter, read_packet_columns, read_pcap, write_pcap
+from repro.netstack.pcap import (
+    PcapReader,
+    PcapWriter,
+    read_packet_columns,
+    read_pcap,
+    write_pcap,
+)
 from repro.netstack.tcp import TcpFlags, TcpHeader
 from repro.traffic.generator import TrafficGenerator
 
 EXTRACTOR = RawFeatureExtractor()
+SMALL_BLOCK = 4096
 
 
-def assert_wire_equivalent(tmp_path, packets, name="capture"):
-    """Write ``packets`` to a pcap and compare both read+extract paths."""
+def _refuse_reference(self, packets):
+    raise AssertionError("columnar extraction fell back to the per-packet reference")
+
+
+def _views_in_blocks(path, block_bytes):
+    """Column views of ``path`` read in blocks of ``block_bytes``."""
+    with PcapReader(path) as reader:
+        return [
+            view
+            for block in reader.iter_column_blocks(block_bytes=block_bytes)
+            for view in block.views()
+        ]
+
+
+def assert_capture_equivalent(path, name="capture", min_spanning=0):
+    """Compare the reference with the columnar path over three reads of ``path``.
+
+    The columnar features come from one whole-file block and from 4 KiB
+    blocks (so longer connections span several blocks); both must be
+    extracted without ever calling the per-packet reference.
+    """
+    object_connections = assemble_connections(read_pcap(path))
+    view_connections = assemble_connections(read_packet_columns(path).views())
+    block_connections = assemble_connections(_views_in_blocks(path, SMALL_BLOCK))
+    assert len(object_connections) == len(view_connections) == len(block_connections)
+    spanning = sum(
+        len({id(view.columns) for view in connection.packets}) > 1
+        for connection in block_connections
+    )
+    assert spanning >= min_spanning, f"{name}: only {spanning} connections span blocks"
+    references = [EXTRACTOR.extract_packets_reference(obj.packets) for obj in object_connections]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RawFeatureExtractor, "extract_packets_reference", _refuse_reference)
+        one_block = [EXTRACTOR.extract_packets(col.packets) for col in view_connections]
+        small_blocks = EXTRACTOR.extract_packet_trains(
+            [connection.packets for connection in block_connections]
+        )
+    for reference, *columnar in zip(references, one_block, small_blocks, strict=True):
+        for read, features in zip(("one block", "4 KiB blocks"), columnar, strict=True):
+            assert reference.shape == features.shape
+            assert np.array_equal(reference, features), (
+                f"{name} ({read}): columnar features diverge at "
+                f"{np.argwhere(reference != features)[:5].tolist()}"
+            )
+    return object_connections
+
+
+def assert_wire_equivalent(tmp_path, packets, name="capture", min_spanning=0):
+    """Write ``packets`` to a pcap and compare every read+extract path."""
     safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
     path = tmp_path / f"{safe}.pcap"
     write_pcap(path, packets)
-    object_connections = assemble_connections(read_pcap(path))
-    view_connections = assemble_connections(read_packet_columns(path).views())
-    assert len(object_connections) == len(view_connections)
-    for obj, col in zip(object_connections, view_connections):
-        reference = EXTRACTOR.extract_packets_reference(obj.packets)
-        columnar = EXTRACTOR.extract_packets(col.packets)
-        assert reference.shape == columnar.shape
-        assert np.array_equal(reference, columnar), (
-            f"{name}: columnar features diverge at "
-            f"{np.argwhere(reference != columnar)[:5].tolist()}"
-        )
-    return object_connections
+    return assert_capture_equivalent(path, name, min_spanning)
 
 
 def assert_memory_equivalent(connection):
@@ -86,7 +130,9 @@ def test_attack_scenario_equivalence(tmp_path, benign_corpus, strategy):
         (packet for connection in attacked for packet in connection.packets),
         key=lambda packet: packet.timestamp,
     )
-    assert_wire_equivalent(tmp_path, packets, name=f"attack-{strategy.name[:40]}")
+    assert_wire_equivalent(
+        tmp_path, packets, name=f"attack-{strategy.name[:40]}", min_spanning=3
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +304,8 @@ class TestWireEdgeCases:
         with PcapWriter(path) as writer:
             for i, data in enumerate(variants):
                 writer.write_raw(data, 10.0 + i)
-        object_connections = assemble_connections(read_pcap(path))
-        view_connections = assemble_connections(read_packet_columns(path).views())
+        object_connections = assert_capture_equivalent(path, "header-length")
         assert sum(len(c) for c in object_connections) == len(variants) - 1  # big_ihl dropped
-        assert len(object_connections) == len(view_connections)
-        for obj, col in zip(object_connections, view_connections):
-            assert np.array_equal(
-                EXTRACTOR.extract_packets_reference(obj.packets),
-                EXTRACTOR.extract_packets(col.packets),
-            )
 
     def test_ip_options_and_urgent_and_ns(self, tmp_path):
         packets = [
@@ -290,6 +329,40 @@ class TestWireEdgeCases:
         ]
         connections = assert_wire_equivalent(tmp_path, packets, "short")
         assert {len(connection) for connection in connections} == {1}
+
+
+class TestSinglePass:
+    def test_mixed_batch_is_extracted_in_one_vectorized_pass(
+        self, tmp_path, benign_corpus, monkeypatch
+    ):
+        """Views from several blocks, object packets, a mixed train and an
+        empty train: one ``extract_columns_segments`` call, no reference."""
+        import repro.features.fields as fields
+
+        path = tmp_path / "mixed.pcap"
+        write_pcap(path, packet_stream(benign_corpus))
+        views = assemble_connections(_views_in_blocks(path, SMALL_BLOCK))
+        objects = assemble_connections(read_pcap(path))
+        mixed = objects[0].packets[:3] + views[0].packets[3:]
+        trains = [views[1].packets, [], objects[2].packets, mixed, views[3].packets]
+        expected = [EXTRACTOR.extract_packets_reference(train) for train in trains]
+        calls = []
+        segments = fields.extract_columns_segments
+        monkeypatch.setattr(
+            fields, "extract_columns_segments",
+            lambda *args: calls.append(args) or segments(*args),
+        )
+        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", _refuse_reference)
+        results = EXTRACTOR.extract_packet_trains(trains)
+        assert len(calls) == 1
+        assert len({id(view.columns) for view in views[1].packets + views[3].packets}) > 1
+        for reference, features in zip(expected, results, strict=True):
+            assert features.shape == reference.shape
+            assert np.array_equal(reference, features)
+
+    def test_all_empty_trains(self):
+        results = EXTRACTOR.extract_packet_trains([[], []])
+        assert [features.shape for features in results] == [(0, 32), (0, 32)]
 
 
 class TestEngineEquivalence:

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.netstack.columns import PacketColumns, columns_of_train
+from repro.netstack.columns import _ARRAY_FIELDS, PacketColumns, locate_rows
 from repro.netstack.flow import FlowKey, assemble_connections, packet_stream
 from repro.netstack.packet import Packet
 from repro.netstack.pcap import (
@@ -138,6 +138,13 @@ class TestBlockStreaming:
         assert len(columns) == 1
         assert columns.timestamp[0] == 7.0
 
+    def test_empty_capture_parses_to_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.pcap"
+        path.write_bytes(struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
+        columns = read_packet_columns(path)
+        assert len(columns) == 0
+        assert columns.views() == []
+
 
 class TestFromPackets:
     def test_round_trips_in_memory_packets(self):
@@ -168,22 +175,43 @@ class TestFromPackets:
         assert materialized is not packets[0]  # copy, shared packet untouched
 
 
-class TestColumnsOfTrain:
-    def test_accepts_only_single_columns_trains(self, capture):
+class TestGather:
+    def test_rows_from_several_blocks_land_in_batch_order(self, capture):
+        with PcapReader(capture) as reader:
+            blocks = list(reader.iter_column_blocks(block_bytes=4096))
+        assert len(blocks) > 2
+        whole = read_packet_columns(capture)
+        starts = np.cumsum([0] + [len(block) for block in blocks])
+        picks = np.array([5, starts[2] + 1, 0, starts[1] + 3, starts[2], 7], dtype=np.int64)
+        block_of = np.searchsorted(starts, picks, side="right") - 1
+        gathered = PacketColumns.gather(blocks, block_of, picks - starts[block_of])
+        assert len(gathered) == picks.size
+        assert gathered.buffer is None and gathered.packets is None
+        for name in _ARRAY_FIELDS:
+            assert np.array_equal(getattr(gathered, name), getattr(whole, name)[picks]), name
+            assert getattr(gathered, name).dtype == getattr(whole, name).dtype, name
+
+    def test_one_block_is_indexed_in_place(self, capture):
         columns = read_packet_columns(capture)
         views = columns.views()
-        assert columns_of_train(views[:5]) is columns
-        assert columns_of_train([]) is None
-        assert columns_of_train(read_pcap(capture)[:3]) is None
-        other = PacketColumns.from_packets(read_pcap(capture)[:2]).views()
-        assert columns_of_train(views[:2] + other) is None
+        located, rows = locate_rows([views[4], views[1], views[9]])
+        assert located is columns
+        assert rows.tolist() == [4, 1, 9]
 
-    def test_empty_capture_parses_to_empty_columns(self, tmp_path):
-        path = tmp_path / "empty.pcap"
-        path.write_bytes(struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
-        columns = read_packet_columns(path)
-        assert len(columns) == 0
-        assert columns.views() == []
+    def test_several_blocks_and_objects_are_gathered(self, capture):
+        with PcapReader(capture) as reader:
+            blocks = list(reader.iter_column_blocks(block_bytes=4096))
+        objects = read_pcap(capture)[:2]
+        packets = [blocks[2].views()[0], objects[1], blocks[0].views()[3], objects[0]]
+        located, rows = locate_rows(packets)
+        assert located.buffer is None and rows.tolist() == [0, 1, 2, 3]
+        expected = [blocks[2].seq[0], objects[1].tcp.seq, blocks[0].seq[3], objects[0].tcp.seq]
+        assert located.seq.tolist() == expected
+
+    def test_objects_only_are_converted_once(self, capture):
+        objects = read_pcap(capture)[:3]
+        located, rows = locate_rows(objects)
+        assert located.packets == objects and rows.tolist() == [0, 1, 2]
 
 
 class TestPackBlock:

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.features.fields import RawFeatureExtractor
 from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason, assemble_connections
 from repro.netstack.flow import packet_stream as _packet_stream
@@ -604,7 +605,16 @@ class TestCaptureLevelEquivalence:
     """From pcap bytes, with read blocks so small that every connection spans
     several of them and blocks fall out of the 8-deep FIFO window: rows of
     an evicted block must be re-broadcast, and the events must still equal
-    the offline reference at 1e-9."""
+    the offline reference at 1e-9.  The per-packet reference extractor is
+    patched to raise (forked workers inherit the patch), so a connection
+    that spans blocks must stay on the columnar feature path."""
+
+    @pytest.fixture(autouse=True)
+    def _no_reference_extractor(self, monkeypatch):
+        def refuse(self, packets):
+            raise AssertionError("feature extraction fell back to the per-packet reference")
+
+        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", refuse)
 
     @pytest.fixture(scope="class")
     def capture(self, trained_clap, tmp_path_factory):
@@ -629,6 +639,11 @@ class TestCaptureLevelEquivalence:
         blocks = {id(view.columns) for view in views}
         assert len(blocks) > 2 * 8, "the capture must overflow the block window"
         return views
+
+    def test_in_process_detector_matches_the_offline_reference(self, trained_clap, capture):
+        path, reference = capture
+        detector = StreamingDetector(trained_clap, idle_timeout=1e9, close_grace=1e9)
+        self._assert_matches(_drain_all(detector, self._stream(path)), reference)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_process_workers_match_the_offline_reference(
