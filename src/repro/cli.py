@@ -578,6 +578,13 @@ def command_stream(args: argparse.Namespace) -> int:
                     detector.ingest(item)
                 emit(detector.events())
                 emit_service(detector)
+            # close() also queues the final-drain events, so the events()
+            # drain below delivers them exactly once, in the deterministic
+            # close ordering.  A worker lost while closing fails like one lost
+            # mid-stream.
+            detector.close()
+            emit(detector.events())
+            emit_service(detector)
         except _GracefulShutdown as stop:
             # Hardened shutdown: drain what completed, report partial
             # results and known loss, exit with the conventional code.
@@ -609,11 +616,6 @@ def command_stream(args: argparse.Namespace) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-    # close() also queues the final-drain events, so the events() drain below
-    # delivers them exactly once, in the deterministic close ordering.
-    detector.close()
-    emit(detector.events())
-    emit_service(detector)
     if streamed == 0:
         print(f"error: no TCP packets found in {args.pcap}", file=sys.stderr)
         return 2

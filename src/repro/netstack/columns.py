@@ -8,8 +8,9 @@ NumPy columns** instead:
 
 * :func:`parse_packet_columns` turns a block buffer plus record offsets into
   a :class:`PacketColumns` — every fixed IP/TCP header field is sliced out of
-  a gathered ``(n, 20)`` byte matrix, IP/TCP checksums are validated with two
-  prefix-sum passes over the whole block, and the dominant TCP option layouts
+  a gathered ``(n, 20)`` byte matrix, IP checksums are summed from that
+  matrix and TCP checksums with one ``reduceat`` pass over the block's even
+  and odd bytes, and the dominant TCP option layouts
   (no options; a lone Timestamp with NOP padding) are recognised vectorized.
   Only genuinely irregular records (exotic options, reserved bits, truncated
   headers) fall back to the per-packet reference parser, whose semantics the
@@ -279,6 +280,9 @@ class PacketColumns:
     # Lazily built, deduplicated FlowKey per row (repeated flows share one
     # object, so downstream dict probes hit the cached hash and identity).
     _flow_keys: list[object] | None = None
+    # The FlowKey of every 4-tuple met so far, shared by ``flow_keys`` and
+    # row-selected ``views``.
+    _key_cache: dict[tuple[int, int, int, int], object] | None = None
 
     def __len__(self) -> int:
         return self.timestamp.shape[0]
@@ -453,24 +457,27 @@ class PacketColumns:
         on identity instead of re-hashing and comparing 4-tuples.
         """
         if self._flow_keys is None:
-            from repro.netstack.flow import FlowKey
-
-            cache: dict[tuple[int, int, int, int], object] = {}
-            keys: list[object] = []
-            for quad in zip(
-                self.key_ip_a.tolist(),
-                self.key_port_a.tolist(),
-                self.key_ip_b.tolist(),
-                self.key_port_b.tolist(),
-                strict=True,
-            ):
-                key = cache.get(quad)
-                if key is None:
-                    key = FlowKey(*quad)
-                    cache[quad] = key
-                keys.append(key)
-            self._flow_keys = keys
+            self._flow_keys = self._keys_of(None)
         return self._flow_keys
+
+    def _keys_of(self, rows: np.ndarray | None) -> list[object]:
+        """The deduplicated keys of ``rows`` (every row for ``None``)."""
+        from repro.netstack.flow import FlowKey
+
+        if self._key_cache is None:
+            self._key_cache = {}
+        cache = self._key_cache
+        columns = (self.key_ip_a, self.key_port_a, self.key_ip_b, self.key_port_b)
+        if rows is not None:
+            columns = tuple(column[rows] for column in columns)
+        keys: list[object] = []
+        for quad in zip(*(column.tolist() for column in columns), strict=True):
+            key = cache.get(quad)
+            if key is None:
+                key = FlowKey(*quad)
+                cache[quad] = key
+            keys.append(key)
+        return keys
 
     def flow_key(self, index: int):
         return self.flow_keys()[index]
@@ -487,38 +494,44 @@ class PacketColumns:
             self.buffer[start:stop].tobytes(), timestamp=float(self.timestamp[index])
         )
 
-    def views(self) -> list[ColumnPacketView]:
+    def views(self, rows: np.ndarray | None = None) -> list[ColumnPacketView]:
         """Per-packet view handles, in row order (bulk-constructed).
 
-        Packet-backed columns seed each view's ``direction`` and ``injected``
-        from the original packet (attack ground truth survives the columnar
-        round trip); wire-backed columns start with the parser defaults.
+        ``rows`` selects the rows to view (in the given order); ``None``
+        views the whole block.  A selection builds keys only for its own
+        rows, through the block's key cache, so a worker that owns part of a
+        block never pays for the rest.  Packet-backed columns seed each
+        view's ``direction`` and ``injected`` from the original packet
+        (attack ground truth survives the columnar round trip); wire-backed
+        columns start with the parser defaults.
         """
-        cls = ColumnPacketView
-        if self.packets is not None:
-            directions = [packet.direction for packet in self.packets]
-            injected = [packet.injected for packet in self.packets]
+        scalars = (self.timestamp, self.flags, self.src, self.dst, self.src_port, self.dst_port)
+        if rows is None:
+            index = range(len(self))
+            keys = self.flow_keys()
         else:
-            directions = [Direction.CLIENT_TO_SERVER] * len(self)
-            injected = [False] * len(self)
+            rows = np.asarray(rows, dtype=np.int64)
+            index = rows.tolist()
+            keys = self._keys_of(rows)
+            scalars = tuple(column[rows] for column in scalars)
+        if self.packets is not None:
+            directions = [self.packets[row].direction for row in index]
+            injected = [self.packets[row].injected for row in index]
+        else:
+            directions = [Direction.CLIENT_TO_SERVER] * len(index)
+            injected = [False] * len(index)
+        cls = ColumnPacketView
         return [
-            cls(self, index, ts, flag, src, dst, sport, dport, key, direction, marked)
-            for index, (ts, flag, src, dst, sport, dport, key, direction, marked) in enumerate(
-                zip(
-                    self.timestamp.tolist(),
-                    self.flags.tolist(),
-                    self.src.tolist(),
-                    self.dst.tolist(),
-                    self.src_port.tolist(),
-                    self.dst_port.tolist(),
-                    self.flow_keys(),
-                    directions,
-                    injected,
-                    strict=True,
-                )
+            cls(self, row, ts, flag, src, dst, sport, dport, key, direction, marked)
+            for row, ts, flag, src, dst, sport, dport, key, direction, marked in zip(
+                index,
+                *(column.tolist() for column in scalars),
+                keys,
+                directions,
+                injected,
+                strict=True,
             )
         ]
-
 
     # ------------------------------------------------------------ wire format
     def pack_block(
@@ -628,40 +641,34 @@ def _fold_checksum(totals: np.ndarray) -> np.ndarray:
     return folded
 
 
-class _BlockSums:
-    """O(1) big-endian 16-bit word sums over arbitrary spans of one buffer.
+def _span_word_sums(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Big-endian 16-bit word sums of ``data[start:stop]`` for every row.
 
-    For a span starting at ``a``, the word sum is
-    ``sum(bytes) + 255 * sum(bytes at even positions relative to a)`` —
-    bytes at even relative offsets are the high halves of the words (and the
-    implicit zero pad of an odd-length span costs nothing).  Two prefix sums
-    (all bytes; bytes at even absolute indices) therefore answer any
-    ``(start, length)`` range in O(1), which is what lets IP/TCP checksums
-    for a whole block verify in a handful of NumPy operations.
+    Bytes at even offsets from a span's start are the high halves of its
+    words (the implicit zero pad of an odd-length span costs nothing), so a
+    span's word sum is ``256 * high + low`` over its bytes at even and odd
+    absolute positions, swapped when the span starts at an odd position.
+    Both halves are one ``np.add.reduceat`` each over the block's even and
+    odd bytes, with the spans' bounds interleaved; the entries between two
+    spans are discarded.  Every span must hold at least two bytes.
     """
-
-    def __init__(self, data: np.ndarray) -> None:
-        size = data.shape[0]
-        # A byte-sum prefix fits int32 as long as size * 255 < 2**31; halving
-        # the prefix width halves the memory traffic of the dominant pass.
-        dtype = np.int32 if size < 8_000_000 else np.int64
-        self._all = np.empty(size + 1, dtype=dtype)
-        self._all[0] = 0
-        np.cumsum(data, dtype=dtype, out=self._all[1:])
-        evens = data[0::2]
-        self._even = np.empty(evens.shape[0] + 1, dtype=dtype)
-        self._even[0] = 0
-        np.cumsum(evens, dtype=dtype, out=self._even[1:])
-
-    def word_sum(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        stops = starts + lengths
-        total = (self._all[stops] - self._all[starts]).astype(np.int64)
-        # Number of even absolute indices below x is (x + 1) // 2.
-        even_index_sum = (
-            self._even[(stops + 1) // 2] - self._even[(starts + 1) // 2]
-        ).astype(np.int64)
-        even_relative = np.where(starts % 2 == 0, even_index_sum, total - even_index_sum)
-        return total + 255 * even_relative
+    halves = []
+    for positions, lows, highs in (
+        (data[0::2], (starts + 1) // 2, (stops + 1) // 2),
+        (data[1::2], starts // 2, stops // 2),
+    ):
+        # reduceat needs every bound inside the array; a span that runs to
+        # its end is summed on its own.
+        at_end = highs >= positions.shape[0]
+        bounds = np.empty(2 * starts.shape[0], dtype=np.int64)
+        bounds[0::2] = lows
+        bounds[1::2] = np.where(at_end, lows, highs)
+        sums = np.add.reduceat(positions, bounds, dtype=np.int64)[0::2]
+        for row in np.flatnonzero(at_end).tolist():
+            sums[row] = int(positions[lows[row]:].sum(dtype=np.int64))
+        halves.append(sums)
+    even, odd = halves
+    return np.where(starts % 2 == 0, 256 * even + odd, 256 * odd + even)
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -832,11 +839,18 @@ def parse_packet_columns(
             tsecr[row] = ts_o.tsecr
 
     # ----------------------------------------------------- checksum validation
-    sums = _BlockSums(data)
     reserved_ip = (flags_fragment & 0x8000) != 0
-    ip_span = np.where(ip_options, ihl * 4, 20)
     ip_regular = ~reserved_ip & ~((ihl > 5) & (lengths < ihl * 4))
-    ip_total = sums.word_sum(offsets, ip_span) - ip_checksum
+    # The fixed header's words come from the bytes already gathered; a header
+    # with options adds the words of its option bytes.
+    ip_total = 256 * ip_fixed[:, 0::2].sum(axis=1) + ip_fixed[:, 1::2].sum(axis=1)
+    with_options = np.flatnonzero(ip_options)
+    if with_options.size:
+        starts = offsets[with_options]
+        ip_total[with_options] += _span_word_sums(
+            data, starts + 20, starts + ihl[with_options] * 4
+        )
+    ip_total -= ip_checksum
     ip_computed = 0xFFFF - _fold_checksum(ip_total)
     ip_ok = ip_regular & (ip_computed == ip_checksum)
 
@@ -847,7 +861,9 @@ def parse_packet_columns(
     pseudo = (
         (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF) + 6 + segment_len
     )
-    tcp_total = sums.word_sum(offsets + tcp_start, segment_len) - tcp_checksum + pseudo
+    tcp_total = (
+        _span_word_sums(data, offsets + tcp_start, offsets + lengths) - tcp_checksum + pseudo
+    )
     tcp_computed = 0xFFFF - _fold_checksum(tcp_total)
     tcp_ok = tcp_regular & (tcp_computed == tcp_checksum)
 

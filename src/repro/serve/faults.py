@@ -4,9 +4,11 @@ A :class:`FaultPlan` is a passive schedule of faults that the serving
 components consult at well-defined hook points:
 
 ``packet_routed(count)``
-    Called by :class:`~repro.serve.partition.FlowPartitioner` after every
-    routed packet, and by :class:`~repro.serve.runtime.ParallelStreamingDetector`
-    after every ingested packet.  Returns the list of process-level faults
+    Called by :class:`~repro.serve.partition.FlowPartitioner` with the
+    packets routed since its last call (it routes capture blocks in runs
+    that end at the next due fault, see ``packets_until_due``; the
+    :class:`~repro.serve.runtime.ParallelStreamingDetector` process mode is
+    that front-end).  Returns the list of process-level faults
     (``kill-instance``, ``kill-worker``, ``wedge-instance``,
     ``wedge-worker``) whose trigger packet has been reached.  The caller
     applies them (SIGKILL, wedge control message) because only the caller
@@ -137,6 +139,15 @@ class FaultPlan:
                 self._process_faults.remove(fault)
                 self.fired.append((fault.kind, fault.index, self._packets))
             return [(f.kind, f.index) for f in due]
+
+    def packets_until_due(self) -> int | None:
+        """Packets still to route before the next process fault is due
+        (``None`` when none is scheduled); lets a router that counts packets
+        in runs stop its run exactly there."""
+        with self._lock:
+            if not self._process_faults:
+                return None
+            return min(fault.at_packet for fault in self._process_faults) - self._packets
 
     def frame_fault(self, tag: str):
         """Return the action for this frame: None, "drop", "corrupt", ("delay", s)."""

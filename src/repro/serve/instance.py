@@ -17,9 +17,12 @@ From the worker's side the protocol is:
 * the front-end's first frame is ``CTRL hello``, answered by ``CTRL ready``
   (pid, operating threshold) or by ``CTRL failed`` when the model could not
   be loaded — the front-end sends it without waiting for the answer;
-* ``BLCK`` frames are unpacked once into a FIFO window of cached column
-  views (lockstep with the front-end's broadcast order, so a ``ROWS`` frame
-  always finds its block cached);
+* ``BLCK`` frames carry a block's header columns only (no raw bytes: the
+  worker never materialises a packet) and are unpacked once into a FIFO
+  window of cached blocks (lockstep with the front-end's broadcast order,
+  so a ``ROWS`` frame always finds its block cached).  Views and flow keys
+  are built only for the rows a ``ROWS`` frame names — this worker's own
+  share of the block;
 * ``ROWS``/``PKTS`` frames carry each packet's routed stream clock, and the
   worker polls its flow table up to that clock before ingesting — a worker
   that owns a quiet subset of flows still expires idle/close-grace timers
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.pipeline import Clap
-from repro.netstack.columns import unpack_block
+from repro.netstack.columns import PacketColumns, unpack_block
 from repro.netstack.flow import FlowTable
 from repro.netstack.packet import Packet
 from repro.serve.metrics import DropPolicy, StreamingMetrics
@@ -156,7 +159,7 @@ class DetectorInstance:
                 drop_policy=config.drop_policy,
                 metrics=self.metrics,
             )
-        self._blocks: "OrderedDict[int, list]" = OrderedDict()
+        self._blocks: "OrderedDict[int, PacketColumns]" = OrderedDict()
         self._block_cache = int(block_cache)
         self._clock = float("-inf")
         self._peak_occupancy = 0
@@ -232,19 +235,16 @@ class DetectorInstance:
             tag, payload = frame
             if tag == TAG_BLCK:
                 block_id, packed = decode_block(payload)
-                self._blocks[block_id] = unpack_block(packed).views()
+                self._blocks[block_id] = unpack_block(packed)
                 while len(self._blocks) > self._block_cache:
                     self._blocks.popitem(last=False)
                 continue
             if tag == TAG_ROWS:
                 block_id, indices, clocks = decode_rows(payload)
-                views = self._blocks.get(block_id)
-                if views is None:
+                columns = self._blocks.get(block_id)
+                if columns is None:
                     raise WireError(f"ROWS frame for uncached block {block_id}")
-                work = [
-                    (views[index], clock)
-                    for index, clock in zip(indices.tolist(), clocks.tolist(), strict=True)
-                ]
+                work = list(zip(columns.views(indices), clocks.tolist(), strict=True))
                 self._answer(conn, lambda: self._ingest(work))
             elif tag == TAG_PKTS:
                 work = [

@@ -15,26 +15,35 @@ ways, and both speak the same :mod:`repro.serve.wire` frames:
 * **remote** (``endpoints=[...]``): the front-end connects to instances
   started with ``repro-clap serve-instance`` on other hosts.
 
-Capture blocks are broadcast to every worker on first sight (``BLCK``) and
-re-broadcast when they left the FIFO window; per-worker row slices ride
-``ROWS`` frames with their routed stream clocks, so every worker's
-flow-table timers fire exactly as one unpartitioned detector's would.  Rows
-are chunked under an :class:`~repro.serve.metrics.AdaptiveChunker`.  Every
-data frame is answered by one ``EVNT`` frame, and a worker never has more
-than ``queue_depth`` frames unanswered: the front-end waits for answers
-first, which **is** the backpressure, and bounds the alert delay queued in
-front of each worker.  :meth:`close` merges every worker's final drain into
-the deterministic ``(first_seen, key)`` order — on a time-ordered capture
-the merged event stream matches a single detector's scores within 1e-9 at
-any worker count (``tests/serve/test_partition.py``,
+A capture block is routed once: on first sight the front-end hashes every
+row's :class:`~repro.netstack.flow.FlowKey` in one vectorised pass and
+broadcasts the block's header columns to every worker (``BLCK``, columns
+only: workers never materialise packets, so the raw bytes stay behind);
+blocks that left the FIFO window are re-broadcast.  Consecutive rows of the
+block only extend a pending run, which is split into per-worker row slices
+when a worker's buffer reaches the chunk target (the row at which
+per-packet routing would have shipped it), at a block change, a poll, a
+flush, a fault's due packet or a worker failure.  The slices ride ``ROWS``
+frames with their routed stream clocks, so every worker's flow-table timers
+fire exactly as one unpartitioned detector's would.  Rows are chunked under
+an :class:`~repro.serve.metrics.AdaptiveChunker`.  Every data frame is
+answered by one ``EVNT`` frame, and a worker never has more than
+``queue_depth`` frames unanswered: the front-end waits for answers first,
+which **is** the backpressure, and bounds the alert delay queued in front
+of each worker.  A frame larger than the socket buffer is written while
+reading that worker's answers, so neither side ever blocks the other and no
+worker is drained before a send.  :meth:`close` merges every worker's final
+drain into the deterministic ``(first_seen, key)`` order — on a
+time-ordered capture the merged event stream matches a single detector's
+scores within 1e-9 at any worker count (``tests/serve/test_partition.py``,
 ``tests/serve/test_process_runtime.py``, ``tools/stream_smoke.py``).
 
 Fault tolerance
 ---------------
-Every wait for a worker (an answer, a frame, ``DONE``) runs under
-``io_deadline``; a worker that dies, tears a frame or leaves frames
-unanswered past the deadline is lost, and every loss goes through one
-policy, ``on_instance_failure``:
+Every wait for a worker (an answer, a frame, ``DONE``, room to write) runs
+under ``io_deadline``; a worker that dies, tears a frame, leaves frames
+unanswered or neither reads nor answers past the deadline is lost, and
+every loss goes through one policy, ``on_instance_failure``:
 
 ``fail``
     Record the loss, tear the whole fleet down (no leaked processes), and
@@ -122,6 +131,7 @@ from repro.serve.wire import (
     encode_control,
     encode_packets,
     encode_rows,
+    frame_parts,
     recv_frame,
     send_frame,
 )
@@ -131,11 +141,6 @@ _HANDSHAKE_TIMEOUT = 60.0
 #: Slice of one wait for an answer; a wait longer than this counts as
 #: backpressure for the adaptive chunker.
 _WAIT_SLICE = 0.2
-
-#: Frames at least this large go only to a worker with nothing unanswered.
-#: The worker then reads the whole frame before it writes anything, so a
-#: full socket in each direction can never block both sides at once.
-_IDLE_SEND_BYTES = 16 * 1024
 
 
 def event_order(event: DetectionEvent) -> tuple[float, str]:
@@ -212,7 +217,11 @@ class _Instance:
         self.endpoint = endpoint
         self.sock: socket.socket | None = None
         self.process = None
-        self.buffer: list[tuple[Packet, float]] = []
+        #: Rows routed here and not yet shipped, in routing order: entries
+        #: ``(columns, rows, clocks)`` of one block, or ``(None, packets,
+        #: clocks)`` for object packets; ``buffered`` counts their rows.
+        self.buffer: list[tuple[PacketColumns | None, object, object]] = []
+        self.buffered = 0
         self.ready: dict[str, object] | None = None
         self.report: dict[str, object] | None = None
         self.state: dict[str, object] = {}
@@ -227,6 +236,46 @@ class _Instance:
         # loss time is the incarnation's in-flight loss.
         self.routed = 0
         self.scored = 0
+
+
+def _enqueue(instance: _Instance, packet: Packet, clock: float) -> None:
+    """Buffer one packet on ``instance`` as a one-row entry."""
+    if type(packet) is ColumnPacketView:
+        rows = np.array([packet.index], dtype=np.int64)
+        instance.buffer.append((packet.columns, rows, np.array([clock], dtype=np.float64)))
+    else:
+        instance.buffer.append((None, [packet], [clock]))
+    instance.buffered += 1
+
+
+def _pairs(entries: Iterable[tuple]) -> list[tuple[Packet, float]]:
+    """Expand buffer entries back into ``(packet, clock)`` pairs."""
+    pairs: list[tuple[Packet, float]] = []
+    for columns, rows, clocks in entries:
+        if columns is None:
+            pairs.extend(zip(rows, clocks, strict=True))
+        else:
+            pairs.extend(zip(columns.views(rows), clocks.tolist(), strict=True))
+    return pairs
+
+
+def _send_available(sock: socket.socket, parts: deque) -> bool:
+    """Send from ``parts`` until the socket is full; True if anything went."""
+    progressed = False
+    sock.setblocking(False)
+    try:
+        while parts:
+            sent = sock.send(parts[0])
+            progressed = True
+            if sent == len(parts[0]):
+                parts.popleft()
+            else:
+                parts[0] = parts[0][sent:]
+    except BlockingIOError:
+        pass
+    finally:
+        sock.setblocking(True)
+    return progressed
 
 
 class FlowPartitioner:
@@ -331,8 +380,15 @@ class FlowPartitioner:
         self._service_events: deque = deque()
         self._connections_seen = 0
         self._alerts_emitted = 0
-        self._live_blocks: "OrderedDict[int, PacketColumns]" = OrderedDict()
-        self._current_columns: PacketColumns | None = None
+        #: The workers' FIFO block window: block id -> (block, each row's
+        #: hash slot).
+        self._live_blocks: "OrderedDict[int, tuple[PacketColumns, np.ndarray]]" = OrderedDict()
+        # The block being routed and its pending run [run_start, run_stop)
+        # of consecutive rows that ingest() took but has not yet split
+        # among the workers; the run closes when run_stop reaches run_limit.
+        self._block: PacketColumns | None = None
+        self._slots: np.ndarray | None = None
+        self._run_start = self._run_stop = self._run_limit = 0
         # Degradation state: loss records, rehashed slots, cumulative
         # identity counters (never reset across respawn incarnations).
         self._losses: list[InstanceLossRecord] = []
@@ -490,7 +546,7 @@ class FlowPartitioner:
             slot = hash(flow_key_of(packet)) % self.instances
             target = self._instances[self._route[slot]]
             if not target.lost:
-                target.buffer.append((packet, clock))
+                _enqueue(target, packet, clock)
 
     def _apply_degrade(self, instance: _Instance) -> None:
         """Rehash ``instance``'s slots to the survivors; emit DegradedMode."""
@@ -518,9 +574,13 @@ class FlowPartitioner:
         closing: bool = False,
     ) -> None:
         """One worker's connection failed: apply the failure policy."""
+        # The pending run is split among the workers by the route in force
+        # when it closes, i.e. after this failure's rehash.
+        self._interrupt_run()
         pending = list(requeue)
-        pending.extend(instance.buffer)
+        pending.extend(_pairs(instance.buffer))
         instance.buffer = []
+        instance.buffered = 0
         if instance.lost:
             # Already handled (e.g. block broadcast and row ship both hit the
             # same dead peer); just re-home whatever was still uncovered.
@@ -570,14 +630,15 @@ class FlowPartitioner:
         instance.report = None
         # State re-registration: the live block window must reach the new
         # incarnation before any requeued ROWS slice references it.
-        for block_id, columns in self._live_blocks.items():
+        for block_id, (columns, _slots) in self._live_blocks.items():
             send_frame(
                 instance.sock,
                 TAG_BLCK,
-                *encode_block(block_id, columns.pack_block()),
+                *encode_block(block_id, columns.pack_block(backing="none")),
                 deadline=time.monotonic() + (self.io_deadline or _HANDSHAKE_TIMEOUT),
             )
-        instance.buffer = pending
+        for packet, clock in pending:
+            _enqueue(instance, packet, clock)
         self._respawns += 1
         self.metrics.record_respawn()
 
@@ -603,28 +664,129 @@ class FlowPartitioner:
 
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
-        """Route one packet to the worker owning its flow (may block)."""
+        """Route one packet to the worker owning its flow (may block).
+
+        The next row of the block being routed only extends the pending
+        run; rows still ship no earlier than their own ``ingest`` call.
+        """
+        if (
+            type(packet) is ColumnPacketView
+            and packet.columns is self._block
+            and packet.index == self._run_stop < self._run_limit
+        ):
+            self._run_stop += 1
+            if self._run_stop == self._run_limit:
+                self._close_run()
+            return
         if self._closed:
             raise RuntimeError("ingest() after close()")
         if self._failure is not None:
             self._raise_failure()
-        if type(packet) is ColumnPacketView and packet.columns is not self._current_columns:
-            # New capture block: flush buffered rows first so queued slices
-            # always precede the broadcast that may evict their block from
-            # the workers' FIFO caches.
-            for instance in self._instances:
-                self._guarded_submit(instance)
-            self._ship_block(packet.columns)
-            self._current_columns = packet.columns
-        key = flow_key_of(packet)
-        instance = self._instances[self._route[hash(key) % self.instances]]
-        instance.buffer.append((packet, self._clock))
+        self._close_run()
+        if type(packet) is ColumnPacketView:
+            if packet.columns is not self._block:
+                self._enter_block(packet.columns)
+            self._open_run(packet.index)
+            self._run_stop += 1
+            if self._run_stop == self._run_limit:
+                self._close_run()
+            return
+        instance = self._instances[self._route[hash(flow_key_of(packet)) % self.instances]]
+        _enqueue(instance, packet, self._clock)
         if packet.timestamp > self._clock:
             self._clock = packet.timestamp
         if self._fault_plan is not None:
             self._apply_faults(1)
-        if len(instance.buffer) >= self._chunk_target():
+        if instance.buffered >= self._chunk_target():
             self._guarded_submit(instance)
+
+    def _enter_block(self, columns: PacketColumns) -> None:
+        """Start routing a capture block, broadcasting it on first sight."""
+        # Ship buffered rows first, so queued slices always precede the
+        # broadcast that may evict their block from the workers' FIFO caches.
+        for instance in self._instances:
+            self._guarded_submit(instance)
+        self._ship_block(columns)
+        self._block = columns
+        self._slots = self._live_blocks[id(columns)][1]
+
+    def _owners(self, start: int, stop: int) -> np.ndarray:
+        """The worker owning each row ``start..stop-1`` of the current block."""
+        return np.asarray(self._route, dtype=np.int64)[self._slots[start:stop]]
+
+    def _open_run(self, start: int) -> None:
+        """Open a run at row ``start`` of the current block and fix its end.
+
+        The run closes at the first row that fills some worker's buffer to
+        the chunk target, at the fault plan's next due packet, or at the end
+        of the block, whichever comes first.
+        """
+        limit = len(self._block)
+        if self._fault_plan is not None:
+            due = self._fault_plan.packets_until_due()
+            if due is not None:
+                limit = min(limit, start + max(due, 1))
+        target = self._chunk_target()
+        needs = {
+            instance.index: max(target - instance.buffered, 1)
+            for instance in self._instances
+            if not instance.lost
+        }
+        # Some worker's need is met within sum(needs) rows.
+        owners = self._owners(start, min(limit, start + sum(needs.values())))
+        for index, need in needs.items():
+            hits = np.flatnonzero(owners == index)
+            if hits.size >= need:
+                limit = min(limit, start + int(hits[need - 1]) + 1)
+        self._run_start = self._run_stop = start
+        self._run_limit = limit
+
+    def _interrupt_run(self) -> None:
+        """Make the next ``ingest`` close the pending run first."""
+        self._run_limit = self._run_stop
+
+    def _stage_run(self) -> int:
+        """Split the pending run into its workers' buffers; returns its length.
+
+        Each row carries the stream clock before it: a running maximum of
+        the run's timestamps, seeded with the clock the run started at.
+        """
+        start, stop = self._run_start, self._run_stop
+        self._run_start = self._run_limit = stop
+        count = stop - start
+        if not count:
+            return 0
+        columns = self._block
+        clocks = np.fmax.accumulate(
+            np.concatenate(([self._clock], columns.timestamp[start:stop]))
+        )
+        self._clock = float(clocks[-1])
+        clocks = clocks[:-1]
+        rows = np.arange(start, stop, dtype=np.int64)
+        owners = self._owners(start, stop)
+        for instance in self._instances:
+            mine = owners == instance.index
+            taken = int(np.count_nonzero(mine))
+            if taken == count:
+                instance.buffer.append((columns, rows, clocks))
+            elif taken:
+                instance.buffer.append((columns, rows[mine], clocks[mine]))
+            instance.buffered += taken
+        return count
+
+    def _close_run(self, ship: bool = True) -> None:
+        """Stage the pending run and fire the faults due at its last packet;
+        with ``ship``, then ship every buffer it filled to the chunk target."""
+        count = self._stage_run()
+        if not count:
+            return
+        if self._fault_plan is not None:
+            self._apply_faults(count)
+        if ship:
+            target = self._chunk_target()
+            for instance in self._instances:
+                if instance.buffered >= target:
+                    self._guarded_submit(instance)
 
     def ingest_many(self, packets: Iterable[Packet]) -> None:
         for packet in packets:
@@ -635,6 +797,7 @@ class FlowPartitioner:
         if self._closed:
             return
         self._raise_failure()
+        self._close_run()
         now = self._clock if now is None else float(now)
         if now == float("-inf"):
             return
@@ -657,6 +820,7 @@ class FlowPartitioner:
         if self._closed:
             return []
         self._raise_failure()
+        self._close_run()
         self._broadcast({"op": "flush"})
         flushed: list[DetectionEvent] = []
         for instance in self._instances:
@@ -692,8 +856,6 @@ class FlowPartitioner:
             )
         if answered:
             self._wait(instance, lambda: instance.in_flight < self._queue_depth)
-        if sum(len(chunk) for chunk in chunks) >= _IDLE_SEND_BYTES:
-            self._wait(instance, lambda: instance.in_flight == 0)
         if self._fault_plan is not None:
             action = self._fault_plan.frame_fault(tag.decode("ascii"))
             if action == "drop":
@@ -702,11 +864,7 @@ class FlowPartitioner:
                 chunks = (self._fault_plan.corrupt(b"".join(bytes(c) for c in chunks)),)
             elif isinstance(action, tuple) and action[0] == "delay":
                 time.sleep(action[1])
-        deadline = time.monotonic() + self.io_deadline if self.io_deadline else None
-        try:
-            send_frame(instance.sock, tag, *chunks, deadline=deadline)
-        except OSError as error:
-            raise _InstanceDown(instance, self._died(instance, error)) from None
+        self._write(instance, tag, chunks)
         if answered:
             instance.in_flight += 1
             self.metrics.record_queue_depth(instance.in_flight)
@@ -732,13 +890,44 @@ class FlowPartitioner:
                 self._chunker.record_backpressure()
             backpressure = True
             if self.io_deadline and time.monotonic() - started > self.io_deadline:
-                raise _InstanceDown(
-                    instance,
-                    WireTimeout(
-                        f"{self._kind} {instance.index} wedged: no answer for "
-                        f"{self.io_deadline:.1f}s"
-                    ),
-                )
+                raise _InstanceDown(instance, self._wedged(instance))
+
+    def _write(self, instance: _Instance, tag: bytes, chunks) -> None:
+        """Write one frame, reading ``instance``'s answers while its socket is full.
+
+        A worker blocked writing answers reads nothing, so a frame larger
+        than the socket buffer only gets through because the front-end
+        reads while it writes; no worker has to be drained first.  A worker
+        that neither reads nor answers for ``io_deadline`` is wedged.
+        """
+        sock = instance.sock
+        backpressure = False
+        try:
+            parts = deque(frame_parts(tag, *chunks))
+            quiet_since = None
+            while True:
+                progressed = _send_available(sock, parts)
+                if not parts:
+                    return
+                now = time.monotonic()
+                if progressed or quiet_since is None:
+                    quiet_since = now
+                elif self.io_deadline and now - quiet_since > self.io_deadline:
+                    raise _InstanceDown(instance, self._wedged(instance))
+                readable, writable, _ = select.select([sock], [sock], (), _WAIT_SLICE)
+                if readable:
+                    self._read(instance)
+                    quiet_since = time.monotonic()
+                elif not writable and not backpressure and self._chunker is not None:
+                    self._chunker.record_backpressure()
+                    backpressure = True
+        except OSError as error:
+            raise _InstanceDown(instance, self._died(instance, error)) from None
+
+    def _wedged(self, instance: _Instance) -> WireTimeout:
+        return WireTimeout(
+            f"{self._kind} {instance.index} wedged: no answer for {self.io_deadline:.1f}s"
+        )
 
     def _settle(self, instance: _Instance, done: Callable[[], bool], closing: bool = False) -> None:
         """:meth:`_wait`, with a loss handed to the failure policy."""
@@ -754,95 +943,74 @@ class FlowPartitioner:
             self._on_down(down.instance, down.error, requeue=down.requeue)
 
     def _submit(self, instance: _Instance) -> None:
-        """Ship one worker's buffered rows as ROWS/PKTS runs (in order)."""
-        chunk = instance.buffer
-        if not chunk or instance.lost:
+        """Ship one worker's buffered rows as ROWS/PKTS frames (in order)."""
+        entries = instance.buffer
+        if not entries or instance.lost:
             return
         instance.buffer = []
-        # Build the frame sequence first, so a mid-chunk socket failure knows
-        # exactly which packets were covered by already-sent frames and which
-        # must be requeued under the failure policy.
-        messages: list[tuple] = []
-        run_columns: PacketColumns | None = None
-        run_rows: list[tuple[Packet, float]] = []
-        object_run: list[tuple[Packet, float]] = []
-
-        def close_column_run() -> None:
-            nonlocal run_columns
-            if run_columns is not None:
-                covered = list(run_rows)
-                indices = np.asarray([p.index for p, _ in covered], dtype=np.int64)
-                clocks = np.asarray([c for _, c in covered], dtype=np.float64)
-                messages.append(
-                    (TAG_ROWS, encode_rows(id(run_columns), indices.tobytes(), clocks.tobytes()),
-                     covered)
-                )
-                run_columns = None
-                run_rows.clear()
-
-        def close_object_run() -> None:
-            if object_run:
-                covered = list(object_run)
-                records = [(p.timestamp, p.to_bytes().hex(), clock) for p, clock in covered]
-                messages.append((TAG_PKTS, (encode_packets(records),), covered))
-                object_run.clear()
-
-        for packet, clock in chunk:
-            if type(packet) is ColumnPacketView:
-                columns = packet.columns
-                if columns is not run_columns:
-                    close_column_run()
-                    close_object_run()
-                    if id(columns) not in self._live_blocks:
-                        # Block left the FIFO window (or was buffered before
-                        # first sight); re-broadcast to every worker.
-                        messages.append((TAG_BLCK, columns, []))
-                    run_columns = columns
-                run_rows.append((packet, clock))
+        instance.buffered = 0
+        # Consecutive entries of one block (or of object packets) make one
+        # frame.  Grouping first lets a mid-chunk socket failure requeue
+        # exactly the entries no sent frame covered.
+        frames: list[list[tuple]] = []
+        for entry in entries:
+            if frames and frames[-1][0][0] is entry[0]:
+                frames[-1].append(entry)
             else:
-                close_column_run()
-                object_run.append((packet, clock))
-        close_column_run()
-        close_object_run()
-
-        covered_count = 0
+                frames.append([entry])
+        shipped = 0
+        sent_frames = 0
         try:
-            for tag, body, covered in messages:
-                if tag == TAG_BLCK:
-                    self._ship_block(body)
-                    continue
-                self._send(instance, tag, *body, answered=True)
-                shipped = len(covered)
-                covered_count += shipped
-                instance.routed += shipped
-                self._routed_total += shipped
+            for group in frames:
+                columns = group[0][0]
+                if columns is None:
+                    records = [
+                        (packet.timestamp, packet.to_bytes().hex(), clock)
+                        for _, packets, clocks in group
+                        for packet, clock in zip(packets, clocks, strict=True)
+                    ]
+                    self._send(instance, TAG_PKTS, encode_packets(records), answered=True)
+                    count = len(records)
+                else:
+                    if id(columns) not in self._live_blocks:
+                        # The block left the FIFO window (or was buffered
+                        # before first sight); re-broadcast to every worker.
+                        self._ship_block(columns)
+                    rows = np.concatenate([entry[1] for entry in group])
+                    clocks = np.concatenate([entry[2] for entry in group])
+                    self._send(
+                        instance,
+                        TAG_ROWS,
+                        *encode_rows(id(columns), rows.tobytes(), clocks.tobytes()),
+                        answered=True,
+                    )
+                    count = len(rows)
+                sent_frames += 1
+                shipped += count
+                instance.routed += count
+                self._routed_total += count
         except _InstanceDown as down:
-            uncovered: list[tuple[Packet, float]] = []
-            seen = 0
-            for tag, _body, covered in messages:
-                if tag == TAG_BLCK:
-                    continue
-                if seen >= covered_count:
-                    uncovered.extend(covered)
-                seen += len(covered)
-            down.requeue.extend(uncovered)
+            down.requeue.extend(
+                _pairs(entry for group in frames[sent_frames:] for entry in group)
+            )
             raise
         finally:
-            if covered_count:
-                self.metrics.record_ingest(instance.index, covered_count)
+            if shipped:
+                self.metrics.record_ingest(instance.index, shipped)
 
     def _ship_block(self, columns: PacketColumns) -> None:
-        """Broadcast one capture block to every live worker (first sight only).
+        """Broadcast one capture block's columns to every live worker.
 
-        Eviction is strictly FIFO by ship order, never refreshed on re-sight:
-        the workers evict their unpacked caches in broadcast arrival order,
-        and only identical FIFO windows on both sides keep a queued row
-        slice guaranteed to find its block cached.
+        First sight only; the block's rows are hashed to their slots here,
+        once.  Eviction is strictly FIFO by ship order, never refreshed on
+        re-sight: the workers evict their unpacked caches in broadcast
+        arrival order, and only identical FIFO windows on both sides keep a
+        queued row slice guaranteed to find its block cached.
         """
         block_id = id(columns)
         if block_id in self._live_blocks:
             return
-        payload = columns.pack_block()
+        payload = columns.pack_block(backing="none")
         chunks = encode_block(block_id, payload)
         downs: list[_InstanceDown] = []
         for instance in self._instances:
@@ -853,7 +1021,9 @@ class FlowPartitioner:
             except _InstanceDown as down:
                 downs.append(down)
         self.metrics.record_shm_segment(len(payload), len(self._live_blocks) + 1)
-        self._live_blocks[block_id] = columns
+        keys = columns.flow_keys()
+        slots = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys)) % self.instances
+        self._live_blocks[block_id] = (columns, slots)
         while len(self._live_blocks) > BLOCK_CACHE_DEPTH:
             self._live_blocks.popitem(last=False)
         for down in downs:
@@ -911,6 +1081,7 @@ class FlowPartitioner:
                 if self.on_instance_failure != "fail":
                     raise _InstanceDown(instance, RuntimeError(reason))
                 self._failure = self._failure or (instance.index, reason)
+                self._interrupt_run()
             return
         self._absorb(instance, state, events)
         if tag == TAG_DONE:
@@ -1013,7 +1184,12 @@ class FlowPartitioner:
         """
         if self._closed:
             return []
+        if not self._failed:
+            # Stage only: the loop below ships every buffer under the
+            # close-time failure handling.
+            self._close_run(ship=False)
         self._closed = True
+        self._interrupt_run()
         if self._failed:
             self._teardown()
             return []

@@ -190,7 +190,9 @@ class StreamingDetector:
 
     def poll(self, now: float | None = None) -> None:
         """Advance stream time without a packet (e.g. on a wall-clock tick)."""
-        self._buffer(self.flow_table.poll(now))
+        completions = self.flow_table.poll(now)
+        if completions:
+            self._buffer(completions)
 
     def _buffer(self, completions: list[tuple[Connection, CompletionReason]]) -> None:
         if completions and (self.drop_policy is not None or self.metrics is not None):

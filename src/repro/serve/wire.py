@@ -20,8 +20,10 @@ CLI.  Columnar data rides two binary frames built on
              (first frame: pid, threshold) or ``failed`` (the worker cannot
              score; it keeps answering).  Front-end to worker: ``poll``,
              ``flush``, ``close`` and the fault-injection ``wedge``.
-``BLCK``     ``u64 block id`` + a packed column block (broadcast once per
-             capture block; workers cache a FIFO window of unpacked blocks).
+``BLCK``     ``u64 block id`` + a packed column block, columns only (no
+             raw-bytes backing: workers never materialise packets).  Sent
+             once per capture block; workers cache a FIFO window of
+             unpacked blocks.
 ``ROWS``     ``u64 block id, u32 count`` + ``int64[count]`` row indices +
              ``float64[count]`` per-row ingest clocks — the per-worker row
              slice of a broadcast block.
@@ -38,7 +40,10 @@ CLI.  Columnar data rides two binary frames built on
 
 Framing is symmetric: either side sends with :func:`send_frame` and receives
 with :func:`recv_frame`.  A clean EOF between frames returns ``None``; a
-truncated frame raises :class:`WireError`.
+truncated frame raises :class:`WireError`.  The front-end writes a frame's
+:func:`frame_parts` itself, reading the worker's answers whenever the socket
+is full, so a frame larger than the socket buffer never waits for the
+worker to be drained and can never block both sides at once.
 
 Both functions accept ``deadline`` — a **monotonic** absolute limit
 (``time.monotonic() + budget``).  Past the deadline they raise
@@ -110,6 +115,16 @@ def _arm(sock: socket.socket, limit: float | None, context: str, partial: bool) 
 # ---------------------------------------------------------------------------
 
 
+def frame_parts(tag: bytes, *chunks: bytes | memoryview) -> list[memoryview]:
+    """The byte views one frame goes out as: its header, then each chunk."""
+    total = sum(len(chunk) for chunk in chunks)
+    if total > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {total} bytes exceeds MAX_FRAME_BYTES")
+    views = [memoryview(chunk).cast("B") for chunk in chunks]
+    header = memoryview(FRAME_HEADER.pack(tag, sum(len(view) for view in views)))
+    return [header, *(view for view in views if len(view))]
+
+
 def send_frame(
     sock: socket.socket,
     tag: bytes,
@@ -122,18 +137,14 @@ def send_frame(
     frame; past it :class:`WireTimeout` is raised with ``partial=True`` if
     any bytes may already be on the wire.
     """
-    total = sum(len(chunk) for chunk in chunks)
-    if total > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {total} bytes exceeds MAX_FRAME_BYTES")
+    parts = frame_parts(tag, *chunks)
     limit = None if deadline is None else deadline
     started = False
     try:
-        _arm(sock, limit, "send_frame header", partial=False)
-        sock.sendall(FRAME_HEADER.pack(tag, total))
-        started = True
-        for chunk in chunks:
-            _arm(sock, limit, "send_frame payload", partial=True)
-            sock.sendall(chunk)
+        for part in parts:
+            _arm(sock, limit, "send_frame payload" if started else "send_frame header", started)
+            sock.sendall(part)
+            started = True
     except TimeoutError as error:
         raise WireTimeout(
             f"send of {bytes(tag)!r} frame timed out", partial=started

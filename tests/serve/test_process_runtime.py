@@ -11,6 +11,7 @@ workers on a source error, close() after a worker failure) stay fixed.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import threading
 import time
@@ -18,8 +19,8 @@ import time
 import pytest
 
 from repro.features.fields import RawFeatureExtractor
-from repro.netstack.columns import PacketColumns
-from repro.netstack.flow import CompletionReason, assemble_connections
+from repro.netstack.columns import ColumnPacketView, PacketColumns
+from repro.netstack.flow import CompletionReason, assemble_connections, flow_key_of
 from repro.netstack.flow import packet_stream as _packet_stream
 from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.serve import (
@@ -35,6 +36,19 @@ from repro.serve import (
     StreamingMetrics,
     Tick,
     open_source,
+)
+from repro.serve import partition as partition_module
+from repro.serve.wire import (
+    FRAME_HEADER,
+    TAG_BLCK,
+    TAG_CTRL,
+    TAG_DONE,
+    TAG_EVNT,
+    TAG_ROWS,
+    decode_control,
+    encode_answer,
+    encode_control,
+    send_frame,
 )
 from repro.traffic.generator import TrafficGenerator
 
@@ -580,7 +594,7 @@ class TestBlockBroadcast:
         self, trained_clap, clap_model_dir
     ):
         """One capture block is broadcast once, whatever the worker count;
-        the front-end counts its packed bytes."""
+        the front-end counts its packed bytes, columns only."""
         from repro.traffic.flood import syn_flood_columns
 
         columns = syn_flood_columns(1024)
@@ -598,7 +612,7 @@ class TestBlockBroadcast:
         detector.close()
         broadcast = detector.metrics_snapshot()["shared_memory"]
         assert broadcast["segments_created"] == 1
-        assert broadcast["bytes_broadcast"] == len(columns.pack_block())
+        assert broadcast["bytes_broadcast"] == len(columns.pack_block(backing="none"))
 
 
 class TestCaptureLevelEquivalence:
@@ -653,6 +667,27 @@ class TestCaptureLevelEquivalence:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=workers,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            idle_timeout=1e9,
+            close_grace=1e9,
+        )
+        self._assert_matches(_drain_all(detector, self._stream(path)), reference)
+
+    def test_workers_never_materialise_a_packet(
+        self, trained_clap, clap_model_dir, capture, monkeypatch
+    ):
+        """Blocks cross to the workers as columns only, so nothing on the
+        serving path may build a packet back from a view."""
+
+        def refuse(self):
+            raise AssertionError("a packet was materialised on the serving path")
+
+        monkeypatch.setattr(ColumnPacketView, "materialize", refuse)
+        path, reference = capture
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=2,
             worker_mode="process",
             model_dir=clap_model_dir,
             idle_timeout=1e9,
@@ -738,3 +773,196 @@ class TestInFlightBound:
         assert [loss.index for loss in losses if "wedged" in loss.reason] == [0]
         assert max(depth for _, depth in unanswered) <= self.QUEUE_DEPTH
         assert not _shard_processes()
+
+
+def _feed(detector, items):
+    """Ingest ``items`` (a :class:`Tick` polls), close, return every event."""
+    events = []
+    for item in items:
+        if isinstance(item, Tick):
+            detector.poll(item.now)
+        else:
+            detector.ingest(item)
+        events.extend(detector.events())
+    detector.close()
+    return events + list(detector.events())
+
+
+def _with_ticks(items, every):
+    """``items`` with a poll at the latest timestamp after every ``every``."""
+    out = []
+    latest = float("-inf")
+    for position, item in enumerate(items, start=1):
+        out.append(item)
+        latest = max(latest, item.timestamp)
+        if position % every == 0:
+            out.append(Tick(latest))
+    return out
+
+
+def _routing_orders():
+    """Ingest orders that leave block-at-once routing's fast path."""
+    connections = _sequential_connections(12, spacing=1.0)
+    first = PacketColumns.from_packets(_packet_stream(connections[:6])).views()
+    second = PacketColumns.from_packets(_packet_stream(connections[6:])).views()
+    swapped = [view for pair in zip(first[1::2], first[0::2], strict=False) for view in pair]
+    interleaved = [view for pair in zip(first, second, strict=False) for view in pair]
+    # Rows of one block, object packets of other connections and polls,
+    # merged in time order.
+    columns = PacketColumns.from_packets(_packet_stream(connections[:8])).views()
+    loose = _packet_stream(connections[8:])
+    mixed = _with_ticks(sorted(columns + loose, key=lambda packet: packet.timestamp), every=7)
+    return {
+        "rows out of order": (swapped, dict(idle_timeout=1e9, close_grace=1e9)),
+        "two blocks interleaved": (interleaved, dict(idle_timeout=1e9, close_grace=1e9)),
+        "objects and polls mixed in": (mixed, dict(idle_timeout=2.0, close_grace=0.5)),
+    }
+
+
+class TestBlockRouting:
+    """Block-at-once routing: any ingest order that is not the next row of
+    the block being routed leaves the fast path, and must still route every
+    packet exactly as per-packet hashing would and score like one in-process
+    detector."""
+
+    @pytest.mark.parametrize(
+        "order", ["rows out of order", "two blocks interleaved", "objects and polls mixed in"]
+    )
+    @pytest.mark.parametrize("chunk_size", [3, 64])
+    def test_routing_matches_per_packet_hashing(
+        self, trained_clap, clap_model_dir, order, chunk_size
+    ):
+        items, timeouts = _routing_orders()[order]
+        expected = _rows(_feed(StreamingDetector(trained_clap, **timeouts), items))
+        partitioner = FlowPartitioner(
+            clap_model_dir,
+            instances=2,
+            chunk_size=chunk_size,
+            config=InstanceConfig(**timeouts),
+        )
+        got = _rows(_feed(partitioner, items))
+        assert [row[:2] for row in got] == [row[:2] for row in expected]
+        assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected, strict=True))
+        owners = [
+            hash(flow_key_of(item)) % 2 for item in items if not isinstance(item, Tick)
+        ]
+        assert [instance.routed for instance in partitioner._instances] == [
+            owners.count(0),
+            owners.count(1),
+        ]
+
+    def test_rows_ship_at_the_packet_that_fills_a_chunk(self, clap_model_dir):
+        """A run ends where a worker's buffer reaches the chunk target, so
+        every frame ships on the same ingest call as under per-packet
+        routing."""
+        views = _column_stream(_sequential_connections(8, spacing=1.0))
+        partitioner = FlowPartitioner(
+            clap_model_dir,
+            instances=2,
+            chunk_size=5,
+            config=InstanceConfig(idle_timeout=1e9, close_grace=1e9),
+        )
+        buffered, shipped = [0, 0], [0, 0]
+        for view in views:
+            partitioner.ingest(view)
+            owner = hash(flow_key_of(view)) % 2
+            buffered[owner] += 1
+            if buffered[owner] == 5:
+                shipped[owner] += 5
+                buffered[owner] = 0
+            assert [instance.routed for instance in partitioner._instances] == shipped
+        partitioner.close()
+
+    def test_a_fault_fires_at_its_packet_inside_a_block(self, clap_model_dir):
+        """A run ends at the fault plan's due packet, so a kill fires at
+        exactly its packet count even mid-run."""
+        views = _column_stream(_sequential_connections(8, spacing=1.0))
+        plan = FaultPlan().kill_instance(1, at_packet=37)
+        partitioner = FlowPartitioner(
+            clap_model_dir,
+            instances=2,
+            chunk_size=64,
+            config=InstanceConfig(idle_timeout=1e9, close_grace=1e9),
+            on_instance_failure="degrade",
+            fault_plan=plan,
+        )
+        _feed(partitioner, views)
+        assert plan.fired == [("kill-instance", 1, 37)]
+
+
+def _read_exact(sock, count):
+    data = bytearray()
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            return None
+        data.extend(chunk)
+    return bytes(data)
+
+
+#: Size of each late answer: several times any socketpair buffer.
+_LATE_ANSWER_BYTES = 1 << 20
+
+
+def _late_answering_worker(sock, _load, _config):
+    """A scripted worker: it holds back its ROWS answers until the second
+    block broadcast has begun, then writes them (each far larger than the
+    socket buffer) before reading the rest of that broadcast."""
+    state = dict(StreamingMetrics(shard_count=1).worker_state(), active_flows=0, pending=0)
+    late = dict(state, padding="x" * _LATE_ANSWER_BYTES)
+    owed = 0
+    blocks = 0
+    while True:
+        header = _read_exact(sock, FRAME_HEADER.size)
+        if header is None:
+            return
+        tag, length = FRAME_HEADER.unpack(header)
+        if tag == TAG_BLCK:
+            blocks += 1
+            if blocks == 2:
+                for _ in range(owed):
+                    send_frame(sock, TAG_EVNT, encode_answer(late, [], 0))
+                owed = 0
+        payload = _read_exact(sock, length) if length else b""
+        if tag == TAG_ROWS and blocks < 2:
+            owed += 1
+        elif tag == TAG_CTRL and decode_control(payload)["op"] == "hello":
+            send_frame(sock, TAG_CTRL, encode_control({"op": "ready", "threshold": 0.5}))
+        elif tag == TAG_CTRL and decode_control(payload)["op"] == "close":
+            done = {"events": [], "state": state, "metrics": {}, "peak_occupancy": 0}
+            send_frame(sock, TAG_DONE, json.dumps(done).encode("utf-8"))
+            return
+        elif tag != TAG_BLCK:
+            send_frame(sock, TAG_EVNT, encode_answer(state, [], 0))
+
+
+class TestLargeFrames:
+    def test_large_frame_reads_answers_instead_of_draining_first(self, monkeypatch):
+        """A block broadcast larger than the socket buffer goes to a worker
+        that still owes answers, each larger than the buffer too, and will
+        only write them once the broadcast has begun.  Draining the worker
+        before the send would wait for those answers forever; a blocking
+        send would deadlock against the worker's own blocked writes.  The
+        front-end reads while it writes, and the stream completes."""
+        from repro.traffic.flood import syn_flood_columns
+
+        monkeypatch.setattr(partition_module, "serve_socket", _late_answering_worker)
+        small = syn_flood_columns(30)
+        large = syn_flood_columns(20_000, first_index=30)
+        assert len(large.pack_block(backing="none")) > 4 * _LATE_ANSWER_BYTES
+        partitioner = FlowPartitioner(
+            "no model: the scripted worker never loads one",
+            instances=1,
+            chunk_size=10,
+            io_deadline=10.0,
+        )
+        started = time.monotonic()
+        partitioner.ingest_many(small.views())
+        partitioner.ingest(large.views()[0])
+        partitioner.close()
+        assert time.monotonic() - started < 10.0
+        assert partitioner._instances[0].in_flight == 0
+        assert partitioner._routed_total == 31
+        reasons = [loss.reason for loss in partitioner.degradation_report().losses]
+        assert all("unaccounted" in reason for reason in reasons), reasons
+        assert not multiprocessing.active_children()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.netstack.flow import assemble_connections
-from repro.netstack.pcap import read_pcap
+from repro.netstack.pcap import read_packet_columns, read_pcap
 
 
 class TestParser:
@@ -262,6 +262,24 @@ class TestStreamCommand:
                 "first_seen", "last_seen",
             }
         assert "connections exceeded threshold" in captured.err
+
+    def test_instance_lost_while_closing_fails_cleanly(
+        self, trained_model_dir, tmp_path, capsys
+    ):
+        """An instance killed at the capture's last packet is lost inside the
+        final close; under ``fail`` that exits 2 with the loss reported, like
+        a loss mid-stream, instead of escaping as a traceback."""
+        capture = tmp_path / "last.pcap"
+        main(["generate", str(capture), "--connections", "6", "--seed", "31"])
+        capsys.readouterr()
+        last = len(read_packet_columns(capture))
+        code = main(["stream", str(trained_model_dir), str(capture), "--instances", "2",
+                     "--on-instance-failure", "fail",
+                     "--inject-fault", f"kill-instance:1@{last}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: instance 1 lost" in err
+        assert "degradation:" in err
 
     def test_stream_matches_score_verdicts(self, trained_model_dir, tmp_path, capsys):
         """Online (stream) and forensic (score --json) agree on the capture."""
