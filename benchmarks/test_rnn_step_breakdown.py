@@ -13,16 +13,15 @@ The model-side cost of scoring a flush batch decomposes into four stages:
 
 This benchmark times each stage at several batch-size/length mixes and
 compares the model-only stage (projection + loop, i.e. the batched gate
-extraction) across the sequence backends against the **pre-PR reference
-loop** — the allocating per-step implementation this PR replaced, embedded
-below verbatim so the comparison survives future edits to the live code.
+extraction) in both GRU compute dtypes against the **reference loop** — the
+allocating per-step implementation, embedded below verbatim so the
+comparison survives future edits to the live code.
 
 Random weights are used deliberately: gate-extraction time is independent of
 what the weights converged to, and skipping the training fixture keeps the
-benchmark self-contained.  The fused float64 path must reproduce the
-reference *bit-for-bit* (it is the correctness oracle); the float32 and int8
-serving paths are where the speed lives, and the committed results file
-records all of it.
+benchmark self-contained.  The float64 path must reproduce the reference
+*bit-for-bit* (it is the correctness oracle); the fused float32 serving path
+is where the speed lives, and the committed results file records all of it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.core.config import ClapConfig
 from repro.core.detector import adversarial_score_batch
 from repro.features.profile import stack_profiles
 from repro.nn.activations import sigmoid
-from repro.nn.backend import GruBackend, QuantizedGruBackend, convert_backend
+from repro.nn.gru import GRUSequenceClassifier
 
 INPUT_SIZE = 32
 HIDDEN_SIZE = 32
@@ -55,14 +54,15 @@ MIXES = (
 
 
 class ReferenceGru:
-    """The pre-PR gate extraction, frozen for comparison.
+    """The allocating gate extraction, frozen for comparison.
 
-    ``gates_packed`` and the chunked batch driver below are the exact
-    allocating implementations this PR's fused loop replaced (recovered from
-    the git history), parameterised on the same weights as the live backend.
+    ``gates_packed`` and the chunked batch driver below are the allocating
+    implementations the live float64 loop must match bit for bit (recovered
+    from the git history), parameterised on the same weights as the live
+    model.
     """
 
-    def __init__(self, backend: GruBackend):
+    def __init__(self, backend: GRUSequenceClassifier):
         self.weight_input = backend.gru.weight_input.copy()
         self.weight_hidden = backend.gru.weight_hidden.copy()
         self.bias = backend.gru.bias.copy()
@@ -147,7 +147,7 @@ def _make_sequences(count: int, low: int, high: int, rng) -> list[np.ndarray]:
 
 
 def _best(fn, repeats: int = REPEATS) -> float:
-    fn()  # warm-up (also primes the packed-plan cache for the fused paths)
+    fn()  # warm-up (also primes the packed-plan cache for the live paths)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -158,31 +158,30 @@ def _best(fn, repeats: int = REPEATS) -> float:
 
 def test_rnn_step_breakdown():
     rng = np.random.default_rng(SEED)
-    model = GruBackend(INPUT_SIZE, HIDDEN_SIZE, NUM_CLASSES, seed=SEED)
+    model = GRUSequenceClassifier(INPUT_SIZE, HIDDEN_SIZE, NUM_CLASSES, seed=SEED)
     reference = ReferenceGru(model)
-    f32 = convert_backend(model, "gru-f32")
-    quantized = QuantizedGruBackend.quantize(model)
+    f32 = GRUSequenceClassifier.from_state_dict(model.state_dict())
+    f32.set_compute_dtype("float32")
     stack_length = ClapConfig().detector.stack_length
 
     lines = [
         "Per-stage model-time breakdown (GRU input=32, hidden=32, classes=22; "
         f"best of {REPEATS})",
-        "reference = the pre-PR allocating per-step loop; gru = this PR's fused",
-        "float64 loop (bit-identical to the reference); gru-f32 / quantized-gru",
-        "= the tolerance-gated serving fast paths.  'cold plan' includes building",
+        "reference = the frozen allocating per-step loop; gru = the live float64",
+        "loop (bit-identical to the reference); gru-f32 = the tolerance-gated",
+        "fused float32 serving fast path.  'cold plan' includes building",
         "the sort/chunk/scatter plan; 'warm plan' reuses the cached one, the",
         "steady state of the streaming flush loop.",
         "",
     ]
     f32_speedups = []
-    quantized_speedups = []
     f64_speedups = []
 
     for name, count, low, high in MIXES:
         sequences = _make_sequences(count, low, high, rng)
         lengths = [sequence.shape[0] for sequence in sequences]
 
-        # The fused float64 path must replay the reference bit-for-bit.
+        # The float64 path must replay the reference bit-for-bit.
         expected = reference.gate_activations_batch(sequences)
         actual = model.gate_activations_batch(sequences)
         for (expected_update, expected_reset), (update, reset) in zip(expected, actual):
@@ -193,15 +192,14 @@ def test_rnn_step_breakdown():
         reference_seconds = _best(lambda: reference.gate_activations_batch(sequences))
         loop_seconds = max(reference_seconds - projection_seconds, 0.0)
 
-        # Cold plan: a fresh backend whose plan cache has never seen these
-        # lengths (one un-timed quantize/convert clone is cheap).
-        cold_model = GruBackend.from_state_dict(model.state_dict())
+        # Cold plan: a fresh model whose plan cache has never seen these
+        # lengths (one un-timed state clone is cheap).
+        cold_model = GRUSequenceClassifier.from_state_dict(model.state_dict())
         cold_start = time.perf_counter()
         cold_model.gate_activations_batch(sequences)
         cold_seconds = time.perf_counter() - cold_start
-        fused_seconds = _best(lambda: model.gate_activations_batch(sequences))
+        f64_seconds = _best(lambda: model.gate_activations_batch(sequences))
         f32_seconds = _best(lambda: f32.gate_activations_batch(sequences))
-        quantized_seconds = _best(lambda: quantized.gate_activations_batch(sequences))
         assert model.plan_cache_info()["hits"] > 0  # warm calls reused the plan
 
         # Stages 3 and 4, shaped like this mix's connections: one context
@@ -215,9 +213,8 @@ def test_rnn_step_breakdown():
         )
         reduction_seconds = _best(lambda: adversarial_score_batch(errors, offsets))
 
-        f64_speedups.append(reference_seconds / fused_seconds)
+        f64_speedups.append(reference_seconds / f64_seconds)
         f32_speedups.append(reference_seconds / f32_seconds)
-        quantized_speedups.append(reference_seconds / quantized_seconds)
 
         lines.append(
             f"mix {name}: {count} connections, lengths {low}-{high} "
@@ -227,13 +224,12 @@ def test_rnn_step_breakdown():
         lines.append(f"  recurrent loop (reference)  {loop_seconds * 1e3:8.2f} ms")
         lines.append(f"  profile stacking            {stacking_seconds * 1e3:8.2f} ms")
         lines.append(f"  stage-(d) reductions        {reduction_seconds * 1e3:8.2f} ms")
-        lines.append("  model-only stage (projection + loop), by backend:")
+        lines.append("  model-only stage (projection + loop), by compute mode:")
         for label, seconds in (
-            ("reference (pre-PR loop)", reference_seconds),
-            ("gru (fused f64, cold plan)", cold_seconds),
-            ("gru (fused f64, warm plan)", fused_seconds),
-            ("gru-f32", f32_seconds),
-            ("quantized-gru", quantized_seconds),
+            ("reference (frozen loop)", reference_seconds),
+            ("gru (f64, cold plan)", cold_seconds),
+            ("gru (f64, warm plan)", f64_seconds),
+            ("gru-f32 (fused f32)", f32_seconds),
         ):
             lines.append(
                 f"    {label:<28}{seconds * 1e3:8.2f} ms  "
@@ -242,16 +238,16 @@ def test_rnn_step_breakdown():
         lines.append("")
 
     lines.append(
-        "The fused float64 loop buys bit-identity, not speed: replaying the"
+        "The float64 loop is the reference step itself (same allocating ops,"
     )
     lines.append(
-        "reference arithmetic exactly into strided in-place views costs it"
+        "same sigmoid as training) behind the cached packed plan, so it runs"
     )
     lines.append(
-        "10-25% over the reference on this host.  The tolerance-gated serving"
+        "at reference speed.  The tolerance-gated fused float32 serving path"
     )
     lines.append(
-        "paths (gru-f32, quantized-gru) carry the >= 1.5x acceptance."
+        "(gru-f32) carries the >= 1.5x acceptance."
     )
     write_result("rnn_step_breakdown.txt", "\n".join(lines))
 
@@ -261,8 +257,6 @@ def test_rnn_step_breakdown():
     # single shared core and individual mixes jitter by ~20%.
     assert max(f32_speedups) >= 1.5
     assert min(f32_speedups) >= 1.15
-    assert max(quantized_speedups) >= 1.5
-    assert min(quantized_speedups) >= 1.15
-    # The bit-identical f64 loop runs 10-25% behind the reference (exact
-    # in-place arithmetic over strided views); tripwire a real regression.
+    # The bit-identical f64 loop is the reference step; tripwire a real
+    # regression.
     assert min(f64_speedups) >= 0.6

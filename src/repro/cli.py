@@ -34,7 +34,7 @@ from repro.attacks.base import all_strategies, get_strategy
 from repro.attacks.injector import AttackInjector
 from repro.core.artifacts import ModelManifestError
 from repro.core.config import ClapConfig
-from repro.core.pipeline import Clap
+from repro.core.pipeline import SERVING_BACKENDS, Clap
 from repro.netstack.flow import assemble_connections
 from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
 from repro.serve import (
@@ -88,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--ae-epochs", type=int, default=None, help="override autoencoder epochs")
     train.add_argument("--no-gate-weights", action="store_true",
                        help="train without the GRU context stage (intra-packet features only)")
-    train.add_argument("--backend", choices=("gru", "quantized-gru"), default="gru",
-                       help="sequence backend to persist: the float64 GRU (default) or "
-                            "its int8 weight-quantized conversion (trained as a GRU, "
-                            "quantized before the autoencoder/threshold stages)")
 
     score = subparsers.add_parser("score", help="score a capture with a persisted model")
     score.add_argument("model", type=Path, help="directory containing the trained model")
@@ -105,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
                        help="pcap read path: vectorized columnar (default) or "
                             "per-record object parsing (the reference)")
-    score.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"), default=None,
-                       help="serve through this sequence backend instead of the persisted "
-                            "one (converted in memory; scores stay within the documented "
-                            "equivalence tolerance)")
+    score.add_argument("--backend", choices=SERVING_BACKENDS, default=None,
+                       help="GRU compute mode: float64 'gru' or float32 'gru-f32' "
+                            "(default: the persisted one; float32 scores stay within "
+                            "the documented equivalence tolerance)")
 
     stream = subparsers.add_parser(
         "stream", help="replay a capture through the streaming runtime (NDJSON events)")
@@ -196,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit only threshold-exceeding connections")
     stream.add_argument("--metrics", action="store_true",
                         help="print the runtime metrics summary to stderr at end of stream")
-    stream.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"), default=None,
-                        help="serve through this sequence backend instead of the persisted "
-                             "one (process workers inherit the converted model)")
+    stream.add_argument("--backend", choices=SERVING_BACKENDS, default=None,
+                        help="GRU compute mode: float64 'gru' or float32 'gru-f32' "
+                             "(default: the persisted one; process workers inherit it)")
 
     serve = subparsers.add_parser(
         "serve-instance",
@@ -230,10 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-source-subnet budget of scored capacity evictions")
     serve.add_argument("--subnet-prefix", type=int, default=24,
                        help="prefix length grouping sources for --subnet-budget")
-    serve.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"),
-                       default=None,
-                       help="serve through this sequence backend instead of the "
-                            "persisted one")
+    serve.add_argument("--backend", choices=SERVING_BACKENDS, default=None,
+                       help="GRU compute mode: float64 'gru' or float32 'gru-f32' "
+                            "(default: the persisted one)")
 
     strategies = subparsers.add_parser("strategies", help="list the 73 evasion strategies")
     strategies.add_argument("--source", default=None,
@@ -295,7 +290,6 @@ def _training_config(args: argparse.Namespace) -> ClapConfig:
         config.autoencoder.epochs = args.ae_epochs
     if getattr(args, "no_gate_weights", False):
         config.detector.include_gate_weights = False
-    config.rnn.backend = getattr(args, "backend", None) or "gru"
     return config
 
 
@@ -323,8 +317,8 @@ def command_train(args: argparse.Namespace) -> int:
 def _load_model(path: Path, backend: str | None = None) -> Clap | None:
     """Load a persisted model, rendering artifact problems as clean errors.
 
-    ``backend`` converts the pipeline to an alternative serving backend
-    (``--backend``); ``None`` serves the persisted one.
+    ``backend`` selects the GRU compute mode (``--backend``); ``None``
+    serves the persisted one.
     """
     try:
         clap = Clap.load(path)

@@ -19,12 +19,14 @@ Layout of ``manifest.json`` (schema version 2)::
       "config": {"rnn": {...}, "autoencoder": {...}, "detector": {...}}
     }
 
-Schema version 2 added ``sequence_backend`` — the registered name of the
-Stage-(a) model implementation that produced the persisted weights (see
-:mod:`repro.nn.backend`).  Version-1 manifests (no such field) load as the
-default ``gru`` backend; the authoritative copy of the backend identity also
-lives inside the archive (``rnn/meta/backend``), so even legacy bare ``.npz``
-models (no manifest next to them) remain loadable.
+Schema version 2 added ``sequence_backend``, the identity of the Stage-(a)
+model that produced the persisted weights.  This build writes and loads
+``gru`` only; an artifact naming any other backend (for instance an int8
+model written by an older build) is refused with a
+:class:`ModelManifestError`.  Version-1 manifests (no such field) mean
+``gru``; the archive carries its own copy of the identity
+(``rnn/meta/backend``), so legacy bare ``.npz`` models (no manifest next to
+them) are checked too.
 """
 
 from __future__ import annotations
@@ -62,12 +64,7 @@ def feature_schema_hash() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def build_manifest(
-    config: ClapConfig,
-    threshold: float,
-    *,
-    backend: str = DEFAULT_SEQUENCE_BACKEND,
-) -> dict[str, object]:
+def build_manifest(config: ClapConfig, threshold: float) -> dict[str, object]:
     """The manifest dictionary for a trained pipeline."""
     return {
         "format": MANIFEST_FORMAT,
@@ -75,25 +72,17 @@ def build_manifest(
         "repro_version": __version__,
         "feature_schema_hash": feature_schema_hash(),
         "threshold": float(threshold),
-        "sequence_backend": str(backend),
+        "sequence_backend": DEFAULT_SEQUENCE_BACKEND,
         "config": dataclasses.asdict(config),
     }
 
 
-def write_manifest(
-    directory: str | Path,
-    config: ClapConfig,
-    threshold: float,
-    *,
-    backend: str = DEFAULT_SEQUENCE_BACKEND,
-) -> Path:
+def write_manifest(directory: str | Path, config: ClapConfig, threshold: float) -> Path:
     """Write ``manifest.json`` into ``directory`` and return its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_FILENAME
-    path.write_text(
-        json.dumps(build_manifest(config, threshold, backend=backend), indent=2) + "\n"
-    )
+    path.write_text(json.dumps(build_manifest(config, threshold), indent=2) + "\n")
     return path
 
 
@@ -136,13 +125,21 @@ def validate_manifest(manifest: dict[str, object]) -> None:
 def backend_from_manifest(manifest: dict[str, object]) -> str:
     """The sequence-backend name a manifest records.
 
-    Schema-version-1 manifests predate pluggable backends and always mean the
-    default ``gru``.
+    Schema-version-1 manifests predate the field and always mean ``gru``.
     """
     backend = manifest.get("sequence_backend", DEFAULT_SEQUENCE_BACKEND)
     if not isinstance(backend, str) or not backend:
         raise ModelManifestError(f"invalid manifest sequence_backend {backend!r}")
     return backend
+
+
+def require_gru_backend(backend: str, where: str) -> None:
+    """Refuse an artifact whose ``where`` names a backend other than ``gru``."""
+    if backend != DEFAULT_SEQUENCE_BACKEND:
+        raise ModelManifestError(
+            f"{where} names sequence backend {backend!r}; this build loads only "
+            f"{DEFAULT_SEQUENCE_BACKEND!r} models (retrain the model)"
+        )
 
 
 def _dataclass_from(cls, data: object):

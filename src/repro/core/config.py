@@ -27,10 +27,10 @@ class RnnConfig:
     learning_rate: float = 0.005
     gradient_clip: float = 5.0
     seed: int = 7
-    #: Registered sequence-backend name (see :mod:`repro.nn.backend`).  A
-    #: non-trainable backend (e.g. ``quantized-gru``) is produced by training
-    #: its ``training_backend`` and converting after Stage-(a) training, so
-    #: the autoencoder and threshold calibrate on the serving-path gates.
+    #: Serving compute mode of the GRU: ``gru`` (float64) or ``gru-f32``
+    #: (float32).  The GRU always trains in float64 and switches to this mode
+    #: before the autoencoder and threshold calibrate; :meth:`Clap.with_backend`
+    #: records it here so that :meth:`Clap.load` restores it.
     backend: str = "gru"
 
 

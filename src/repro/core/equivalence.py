@@ -1,9 +1,8 @@
-"""Equivalence-tolerance gates for alternative sequence backends.
+"""Equivalence-tolerance gate for the float32 serving mode of the GRU.
 
-The float64 ``gru`` backend is the oracle: its fused packed loop is
-bit-identical to the seed implementation, so its adversarial scores define
-ground truth.  A reduced-precision serving path (``gru-f32``,
-``quantized-gru``) is admissible only if, on a scoring corpus,
+The Stage-(a) GRU serves in two compute dtypes.  Float64 (``gru``) is the
+oracle: its adversarial scores define ground truth.  Float32 (``gru-f32``)
+is admissible only if, on a scoring corpus,
 
 1. every adversarial score stays within ``atol + rtol * |reference|`` of the
    oracle score, and
@@ -17,12 +16,10 @@ the message) when either condition is violated; the CI ``backend-smoke`` job
 and ``tests/core/test_backend_equivalence.py`` run it over the full
 73-scenario adversarial corpus.
 
-The shipped tolerances are measured, not aspirational: on the 73-scenario
-corpus the float32 path lands ~1e-8 relative and the int8 path ~1e-3
-relative of the float64 scores (see the values documented on
-:data:`FLOAT32_TOLERANCE` / :data:`INT8_TOLERANCE`); the gates sit an order
-of magnitude above the observed deltas so they trip on regressions, not on
-benign jitter.
+The shipped tolerance is measured, not aspirational: on the 73-scenario
+corpus the float32 path lands ~1e-8 relative of the float64 scores (see
+:data:`FLOAT32_TOLERANCE`); the gate sits orders of magnitude above the
+observed deltas so it trips on regressions, not on benign jitter.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import numpy as np
 __all__ = [
     "EquivalenceTolerance",
     "FLOAT32_TOLERANCE",
-    "INT8_TOLERANCE",
     "tolerance_for",
     "EquivalenceReport",
     "BackendEquivalenceError",
@@ -62,14 +58,9 @@ class EquivalenceTolerance:
 #: 73-scenario corpus (gate-level perturbation ~6e-8 per step).
 FLOAT32_TOLERANCE = EquivalenceTolerance(atol=1e-9, rtol=1e-5, name="gru-f32")
 
-#: int8 weight quantization: observed max relative score delta ~2e-3 on the
-#: 73-scenario corpus (per-gate symmetric scales, float32 accumulation).
-INT8_TOLERANCE = EquivalenceTolerance(atol=1e-4, rtol=5e-2, name="quantized-gru")
-
 _NAMED = {
     "gru": EquivalenceTolerance(atol=0.0, rtol=0.0, name="gru"),
     "gru-f32": FLOAT32_TOLERANCE,
-    "quantized-gru": INT8_TOLERANCE,
 }
 
 
@@ -85,7 +76,7 @@ def tolerance_for(backend: str) -> EquivalenceTolerance:
 
 
 class BackendEquivalenceError(AssertionError):
-    """A candidate backend violated its equivalence-tolerance gate."""
+    """A candidate serving mode violated its equivalence-tolerance gate."""
 
 
 @dataclass

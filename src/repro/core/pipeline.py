@@ -25,10 +25,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.artifacts import (
-    ModelManifestError,
     backend_from_manifest,
     config_from_manifest,
     read_manifest,
+    require_gru_backend,
     validate_manifest,
     write_manifest,
 )
@@ -49,10 +49,12 @@ from repro.features.profile import ContextProfileBuilder
 from repro.features.scaling import FeatureScaler
 from repro.netstack.flow import Connection
 from repro.nn.autoencoder import Autoencoder
-from repro.nn.backend import backend_from_state_dict, convert_backend, serving_backend_name
-from repro.nn.gru import GRUSequenceClassifier
+from repro.nn.gru import GRUSequenceClassifier, decode_backend_name
 from repro.nn.serialization import load_state, save_state
 from repro.utils.rng import ensure_rng
+
+#: Serving modes of the one Stage-(a) GRU: float64 (the default) and float32.
+SERVING_BACKENDS = ("gru", "gru-f32")
 
 
 @dataclass
@@ -169,36 +171,29 @@ class Clap:
 
     # ---------------------------------------------------------------- backend
     @property
-    def backend_name(self) -> str:
-        """Persisted identity of the Stage-(a) sequence backend.
+    def serving_backend(self) -> str:
+        """The GRU's serving compute mode: ``gru-f32`` in float32, else ``gru``.
 
-        This is the name recorded in ``manifest.json`` / ``rnn/meta/backend``
-        when the pipeline is saved; the serving-only ``gru-f32`` variant
-        reports its persisted identity ``gru`` here (see
-        :meth:`serving_backend` for the effective one).  Pipelines without a
-        sequence model (Baseline #1) report the default ``gru``.
+        Pipelines without a sequence model (Baseline #1) report ``gru``.
         """
         rnn = self.builder.rnn if self.builder is not None else None
-        if rnn is None and self.rnn_stage is not None:
-            rnn = self.rnn_stage.model
-        return getattr(rnn, "backend_name", "gru") if rnn is not None else "gru"
-
-    @property
-    def serving_backend(self) -> str:
-        """The effective serving identity (``gru-f32`` when computing in f32)."""
-        rnn = self.builder.rnn if self.builder is not None else None
-        return serving_backend_name(rnn) if rnn is not None else "gru"
+        if rnn is not None and rnn.compute_dtype == np.float32:
+            return "gru-f32"
+        return "gru"
 
     def with_backend(self, name: str) -> "Clap":
-        """This pipeline served through sequence backend ``name``.
+        """This pipeline served through ``name``: ``gru`` or ``gru-f32``.
 
         Returns ``self`` when the pipeline already serves ``name``; otherwise
         a new :class:`Clap` sharing the fitted autoencoder, scaler, ranges
-        and threshold, with only the Stage-(a) model converted (see
-        :func:`repro.nn.backend.convert_backend`).  Conversion never mutates
-        the source pipeline.
+        and threshold, with a copy of the GRU in the matching compute dtype.
+        The source pipeline is never mutated.
         """
         self._require_fitted()
+        if name not in SERVING_BACKENDS:
+            raise ValueError(
+                f"unknown serving backend {name!r}; choose one of {', '.join(SERVING_BACKENDS)}"
+            )
         if self.builder.rnn is None:
             raise RuntimeError(
                 "this pipeline has no sequence model (include_gate_weights=False); "
@@ -206,7 +201,8 @@ class Clap:
             )
         if name == self.serving_backend:
             return self
-        converted = convert_backend(self.builder.rnn, name)
+        converted = GRUSequenceClassifier.from_state_dict(self.builder.rnn.state_dict())
+        converted.set_compute_dtype("float32" if name == "gru-f32" else "float64")
         clone = Clap(copy.deepcopy(self.config))
         clone.config.rnn.backend = name
         clone.builder = ContextProfileBuilder(
@@ -399,7 +395,7 @@ class Clap:
             [1 if self.config.detector.include_amplification else 0]
         )
         archive = save_state(directory / "clap_model", state)
-        write_manifest(directory, self.config, self.threshold, backend=self.backend_name)
+        write_manifest(directory, self.config, self.threshold)
         return archive
 
     @classmethod
@@ -447,27 +443,20 @@ class Clap:
         rnn_state = {
             key[len("rnn/") :]: value for key, value in state.items() if key.startswith("rnn/")
         }
-        # The backend identity embedded in the archive (``rnn/meta/backend``)
-        # is authoritative — it dispatches reconstruction through the backend
-        # registry.  The manifest's ``sequence_backend`` field is the
-        # human-readable copy; legacy states (no meta key) load as ``gru``.
-        rnn_model = backend_from_state_dict(rnn_state) if rnn_state else None
-        if manifest is not None and rnn_model is not None:
-            recorded = backend_from_manifest(manifest)
-            if recorded != rnn_model.backend_name:
-                raise ModelManifestError(
-                    f"manifest names sequence backend {recorded!r} but the archive "
-                    f"holds {rnn_model.backend_name!r} weights"
-                )
-        if (
-            rnn_model is not None
-            and config.rnn.backend not in ("", rnn_model.backend_name)
-            and config.rnn.backend == "gru-f32"
-            and rnn_model.backend_name == "gru"
-        ):
-            # A converted pipeline saved with a serving override (e.g.
-            # ``gru-f32``) restores that override on load.
-            rnn_model = convert_backend(rnn_model, "gru-f32")
+        # Both copies of the backend identity must name ``gru``: the archive's
+        # ``rnn/meta/backend`` (absent in legacy states) and the manifest's
+        # ``sequence_backend``.
+        if rnn_state:
+            require_gru_backend(
+                decode_backend_name(rnn_state.get("meta/backend")), "model archive"
+            )
+        if manifest is not None:
+            require_gru_backend(backend_from_manifest(manifest), "model manifest")
+        rnn_model = GRUSequenceClassifier.from_state_dict(rnn_state) if rnn_state else None
+        if rnn_model is not None and config.rnn.backend == "gru-f32":
+            # A pipeline saved from ``with_backend("gru-f32")`` serves float32
+            # again after loading.
+            rnn_model.set_compute_dtype("float32")
         ae_state = {key[len("ae/") :]: value for key, value in state.items() if key.startswith("ae/")}
         scaler = FeatureScaler.from_arrays(
             {key[len("scaler/") :]: value for key, value in state.items() if key.startswith("scaler/")}

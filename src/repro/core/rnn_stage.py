@@ -19,7 +19,6 @@ from repro.core.config import RnnConfig
 from repro.features.fields import RawFeatureExtractor
 from repro.features.scaling import FeatureScaler
 from repro.netstack.flow import Connection
-from repro.nn.backend import convert_backend, get_backend
 from repro.nn.gru import GRUSequenceClassifier
 from repro.tcpstate.conntrack import ConnectionLabeler
 from repro.tcpstate.states import NUM_LABEL_CLASSES, label_names
@@ -90,21 +89,6 @@ class RnnStage:
         return feature_arrays, label_arrays
 
     # -------------------------------------------------------------- training
-    def _training_class(self):
-        """The trainable backend class behind ``config.backend``.
-
-        Serving-only identities train their designated ``training_backend``
-        (e.g. ``quantized-gru`` trains a ``gru`` and converts afterwards); the
-        ``gru-f32`` serving variant likewise trains the float64 ``gru``.
-        """
-        name = self.config.backend
-        if name == "gru-f32":
-            name = "gru"
-        backend_cls = get_backend(name)
-        if not backend_cls.trainable:
-            backend_cls = get_backend(backend_cls.training_backend)
-        return backend_cls
-
     def fit(self, connections: Sequence[Connection], *, verbose: bool = False) -> RnnTrainingReport:
         """Train the GRU classifier on benign ``connections``."""
         feature_arrays, label_arrays = self.prepare(connections)
@@ -113,7 +97,7 @@ class RnnStage:
         self.scaler = FeatureScaler.fit(feature_arrays)
         scaled_arrays = self.scaler.transform_all(feature_arrays)
 
-        self.model = self._training_class()(
+        self.model = GRUSequenceClassifier(
             input_size=self.config.input_size,
             hidden_size=self.config.hidden_size,
             num_classes=self.config.num_classes,
@@ -137,12 +121,10 @@ class RnnStage:
             if verbose:
                 print(f"rnn epoch {epoch + 1}/{self.config.epochs}: loss={loss_history[-1]:.4f}")
 
-        # Convert to the requested serving backend *before* evaluation, so
-        # the reported accuracy — and everything downstream (autoencoder
-        # training, threshold calibration) — sees the serving-path gates.
-        if self.config.backend != self.model.backend_name:
-            self.model = convert_backend(self.model, self.config.backend)
-
+        # Serve in the configured compute mode from here on, so the
+        # autoencoder and threshold calibrate on the gates they will score.
+        if self.config.backend == "gru-f32":
+            self.model.set_compute_dtype("float32")
         accuracy = self.evaluate(connections)
         self.report = RnnTrainingReport(
             epochs=self.config.epochs,

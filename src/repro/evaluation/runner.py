@@ -330,9 +330,9 @@ class ExperimentRunner:
         setup-inclusive figure still available as
         :attr:`ThroughputResult.total_packets_per_second`.
 
-        ``backend`` converts the detector to an alternative sequence backend
-        (``gru-f32``, ``quantized-gru``, …) before the clock starts; ``None``
-        times the detector as fitted.
+        ``backend`` serves the detector in the given GRU compute mode
+        (``gru`` or ``gru-f32``, see :meth:`Clap.with_backend`) before the
+        clock starts; ``None`` times the detector as fitted.
         """
         detector = self.detectors[detector_name]
         resolved_backend = backend or getattr(detector, "serving_backend", "gru")

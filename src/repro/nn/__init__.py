@@ -16,18 +16,6 @@ from repro.nn.activations import (
     tanh,
 )
 from repro.nn.autoencoder import Autoencoder, symmetric_layer_sizes
-from repro.nn.backend import (
-    GruBackend,
-    QuantizedGruBackend,
-    SequenceBackend,
-    available_backends,
-    backend_from_state_dict,
-    convert_backend,
-    get_backend,
-    register_backend,
-    serving_backend_name,
-    serving_backends,
-)
 from repro.nn.dense import Dense
 from repro.nn.gru import (
     GRULayer,
@@ -49,7 +37,6 @@ __all__ = [
     "Dense",
     "GRULayer",
     "GRUSequenceClassifier",
-    "GruBackend",
     "GruForwardResult",
     "GruStepCache",
     "L1Loss",
@@ -57,26 +44,17 @@ __all__ = [
     "Optimizer",
     "PackedPlan",
     "PackedPlanCache",
-    "QuantizedGruBackend",
     "SGD",
-    "SequenceBackend",
     "SoftmaxCrossEntropy",
-    "available_backends",
-    "backend_from_state_dict",
     "build_packed_plan",
-    "convert_backend",
     "get_activation",
-    "get_backend",
     "glorot_uniform",
     "identity",
     "leaky_relu",
     "load_state",
     "orthogonal",
-    "register_backend",
     "relu",
     "save_state",
-    "serving_backend_name",
-    "serving_backends",
     "sigmoid",
     "softmax",
     "symmetric_layer_sizes",

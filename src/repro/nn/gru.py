@@ -34,10 +34,10 @@ from repro.nn.optim import Adam, Optimizer
 
 Parameters = dict[str, np.ndarray]
 
-#: Compute dtypes the inference fast path accepts.  ``float64`` is the
-#: training/oracle dtype (bit-identical to the masked forward); ``float32``
-#: is the opt-in serving mode gated by the backend equivalence tolerances
-#: (see :mod:`repro.core.equivalence`).
+#: Compute dtypes the inference loop accepts.  ``float64`` is the training
+#: dtype and the default (``gru``); ``float32`` is the opt-in serving mode
+#: (``gru-f32``) gated by the equivalence tolerance in
+#: :mod:`repro.core.equivalence`.
 COMPUTE_DTYPES = ("float64", "float32")
 
 
@@ -53,31 +53,12 @@ def decode_backend_name(value: np.ndarray | None, default: str = "gru") -> str:
     return bytes(np.asarray(value, dtype=np.uint8)).decode("utf-8")
 
 
-def _sigmoid_exact_inplace(
-    x: np.ndarray, exp_buf: np.ndarray, denom_buf: np.ndarray, mask_buf: np.ndarray
-) -> None:
-    """In-place replica of :func:`repro.nn.activations.sigmoid`.
-
-    Performs the exact same operations as the allocating stable sigmoid
-    (``z = exp(-|x|)``; positive branch ``1/(1+z)``, negative branch
-    ``z/(1+z)``) so the float64 fused loop stays *bit-identical* to the
-    oracle, but writes every intermediate into preallocated scratch.
-    """
-    np.greater_equal(x, 0.0, out=mask_buf)
-    np.abs(x, out=exp_buf)
-    np.negative(exp_buf, out=exp_buf)
-    np.exp(exp_buf, out=exp_buf)  # z = exp(-|x|)
-    np.add(exp_buf, 1.0, out=denom_buf)  # 1 + z
-    np.divide(exp_buf, denom_buf, out=x)  # z / (1 + z) everywhere ...
-    np.divide(1.0, denom_buf, out=x, where=mask_buf)  # ... then 1/(1+z) where x >= 0
-
-
 def _sigmoid_fast_inplace(x: np.ndarray) -> None:
     """In-place ``1 / (1 + exp(-x))`` for the float32 serving mode.
 
     The unstable formulation saturates to exactly 0/1 a few ulps earlier
-    than the branch-stable one — far below the float32 tolerance gate — and
-    costs half the ufunc passes of the exact replica.
+    than the branch-stable :func:`repro.nn.activations.sigmoid` — far below
+    the float32 tolerance gate — and needs no scratch buffers.
     """
     np.negative(x, out=x)
     np.exp(x, out=x)
@@ -239,8 +220,8 @@ class GRULayer:
     def set_compute_dtype(self, dtype) -> None:
         """Select the inference compute dtype for :meth:`gates_packed`.
 
-        ``float64`` (the default) keeps the fused loop bit-identical to the
-        masked :meth:`forward` oracle; ``float32`` casts the parameters once
+        ``float64`` (the default) runs the plain per-step loop with the
+        training path's activations; ``float32`` casts the parameters once
         (cached until the next training step or state load) and halves the
         memory traffic of the recurrence.  Training always runs in float64 —
         the master parameters are never narrowed.
@@ -374,14 +355,13 @@ class GRULayer:
         total step work drops from ``batch * max_len`` to ``sum(lengths)``
         lane-steps.
 
-        The step loop is fused: the one ``h_prev @ U`` matmul lands in a
-        preallocated scratch row-block, the stable sigmoid / tanh / convex
-        hidden update all run in place, and the gates are written straight
-        into the (optionally caller-provided) output buffers — no per-step
-        temporaries.  In the float64 compute mode every operation replays the
-        previous allocating loop's arithmetic exactly, so results are
-        bit-identical; the float32 mode (see :meth:`set_compute_dtype`) is the
-        tolerance-gated serving fast path.
+        One kernel per compute dtype.  In float64 each step is the plain
+        allocating update with the training path's
+        :func:`~repro.nn.activations.sigmoid`.  In float32 (see
+        :meth:`set_compute_dtype`) the step is fused: the one ``h_prev @ U``
+        matmul lands in a preallocated scratch row-block, the sigmoid / tanh /
+        convex hidden update run in place, and the gates are written straight
+        into the output buffers, with no per-step temporaries.
 
         ``alive_from`` lets a cached :class:`PackedPlan` supply the per-step
         suffix starts so the ``searchsorted`` is not recomputed per batch.
@@ -406,7 +386,6 @@ class GRULayer:
         two_h = 2 * h
         weight_input, weight_hidden, bias = self._compute_params()
         dtype = weight_input.dtype
-        exact = dtype == np.float64
         if inputs.dtype != dtype:
             inputs = inputs.astype(dtype)
         hidden = np.zeros((batch, h), dtype=dtype)
@@ -422,12 +401,25 @@ class GRULayer:
                 int(value)
                 for value in np.searchsorted(lengths, np.arange(time), side="right")
             ]
-        # Per-call scratch: the recurrent projection, the sigmoid buffers and
-        # the convex-update factor are sliced per step instead of reallocated.
+        if dtype == np.float64:
+            for t in range(time):
+                start = alive_from[t]
+                projected_input = projected[start:, t, :]
+                h_prev = hidden[start:]
+                projected_hidden = h_prev @ weight_hidden
+                gates = sigmoid(projected_input[:, :two_h] + projected_hidden[:, :two_h])
+                update_gate = gates[:, :h]
+                reset_gate = gates[:, h:]
+                candidate = np.tanh(
+                    projected_input[:, two_h:] + reset_gate * projected_hidden[:, two_h:]
+                )
+                hidden[start:] = (1.0 - update_gate) * h_prev + update_gate * candidate
+                out_update[start:, t, :] = update_gate
+                out_reset[start:, t, :] = reset_gate
+            return out_update, out_reset
+        # Per-call scratch: the recurrent projection and the convex-update
+        # factor are sliced per step instead of reallocated.
         scratch = np.empty((batch, 3 * h), dtype=dtype)
-        sig_exp = np.empty((batch, two_h), dtype=dtype)
-        sig_denom = np.empty((batch, two_h), dtype=dtype)
-        sig_mask = np.empty((batch, two_h), dtype=bool)
         one_minus = np.empty((batch, h), dtype=dtype)
         for t in range(time):
             start = alive_from[t]
@@ -436,12 +428,7 @@ class GRULayer:
             projected_input = projected[start:, t, :]
             zr = gates[:, :two_h]
             zr += projected_input[:, :two_h]
-            if exact:
-                _sigmoid_exact_inplace(
-                    zr, sig_exp[start:], sig_denom[start:], sig_mask[start:]
-                )
-            else:
-                _sigmoid_fast_inplace(zr)
+            _sigmoid_fast_inplace(zr)
             update_gate = zr[:, :h]
             reset_gate = zr[:, h:]
             candidate = gates[:, two_h:]
@@ -537,17 +524,11 @@ class GRUSequenceClassifier:
     :meth:`gate_activations` exposes the per-packet update/reset gate values
     that become the inter-packet context part of the context profile.
 
-    The class is also the reference :class:`repro.nn.backend.SequenceBackend`
-    implementation (``backend_name``/``trainable`` below are the protocol's
-    identity attributes; :class:`repro.nn.backend.GruBackend` is its
-    registered alias).
+    It is the only Stage-(a) model.  Inference runs in one of two compute
+    dtypes (:meth:`set_compute_dtype`): float64, served as ``gru``, and
+    float32, served as ``gru-f32``.  Persisted states record the identity
+    ``gru`` under ``meta/backend``.
     """
-
-    backend_name = "gru"
-    trainable = True
-    #: Backend to train when this one is inference-only (protocol hook; the
-    #: reference implementation trains itself).
-    training_backend: str | None = None
 
     def __init__(
         self,
@@ -744,7 +725,7 @@ class GRUSequenceClassifier:
         state["meta/input_size"] = np.array([self.input_size], dtype=np.int64)
         state["meta/hidden_size"] = np.array([self.hidden_size], dtype=np.int64)
         state["meta/num_classes"] = np.array([self.num_classes], dtype=np.int64)
-        state["meta/backend"] = encode_backend_name(self.backend_name)
+        state["meta/backend"] = encode_backend_name("gru")
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:

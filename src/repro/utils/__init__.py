@@ -1,6 +1,5 @@
-"""Shared utilities: seeded randomness, logging and timing helpers."""
+"""Shared utilities: seeded randomness helpers."""
 
 from repro.utils.rng import RngMixin, derive_rng, ensure_rng
-from repro.utils.timing import Stopwatch
 
-__all__ = ["RngMixin", "derive_rng", "ensure_rng", "Stopwatch"]
+__all__ = ["RngMixin", "derive_rng", "ensure_rng"]

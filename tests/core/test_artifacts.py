@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -16,8 +17,25 @@ from repro.core.artifacts import (
     feature_schema_hash,
     validate_manifest,
 )
+from repro.cli import main
 from repro.core.config import ClapConfig
 from repro.core.pipeline import Clap
+from repro.nn.gru import encode_backend_name
+from repro.nn.serialization import load_state, save_state
+
+
+def _relabel(directory, backend, *, archive=True, manifest=True):
+    """Rewrite the sequence-backend identity of a saved artifact in place."""
+    if archive:
+        path = directory / "clap_model.npz"
+        state = dict(load_state(path))
+        state["rnn/meta/backend"] = encode_backend_name(backend)
+        save_state(path, state)
+    if manifest:
+        manifest_path = directory / MANIFEST_FILENAME
+        payload = json.loads(manifest_path.read_text())
+        payload["sequence_backend"] = backend
+        manifest_path.write_text(json.dumps(payload))
 
 
 class TestManifestHelpers:
@@ -60,8 +78,8 @@ class TestManifestHelpers:
         manifest = build_manifest(ClapConfig(), threshold=0.0)
         assert manifest["sequence_backend"] == "gru"
         assert backend_from_manifest(manifest) == "gru"
-        manifest = build_manifest(ClapConfig(), threshold=0.0, backend="quantized-gru")
-        validate_manifest(manifest)
+        manifest["sequence_backend"] = "quantized-gru"
+        validate_manifest(manifest)  # the identity is checked by Clap.load
         assert backend_from_manifest(manifest) == "quantized-gru"
 
     def test_schema_v1_manifests_default_to_the_gru_backend(self):
@@ -180,3 +198,50 @@ class TestMmapArtifacts:
             assert left.key == right.key
             assert abs(left.score - right.score) < 1e-12
             assert left.localized_packets == right.localized_packets
+
+
+class TestForeignBackends:
+    """Only ``gru`` artifacts load.  The int8 ``quantized-gru`` artifacts of
+    older builds, and any other name, are refused with a clean error."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, trained_clap, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("foreign") / "gru"
+        trained_clap.save(directory)
+        capture = directory.parent / "capture.pcap"
+        assert main(["generate", str(capture), "--connections", "2", "--seed", "8"]) == 0
+        return directory, capture
+
+    @pytest.mark.parametrize("backend", ["quantized-gru", "mamba"])
+    def test_load_refuses_a_foreign_backend(self, saved, tmp_path, backend):
+        directory = tmp_path / backend
+        shutil.copytree(saved[0], directory)
+        _relabel(directory, backend)
+        for mmap_mode in (None, "r"):
+            with pytest.raises(ModelManifestError, match=repr(backend)):
+                Clap.load(directory, mmap_mode=mmap_mode)
+
+    @pytest.mark.parametrize("backend", ["quantized-gru", "mamba"])
+    def test_score_exits_2_on_a_foreign_backend(self, saved, tmp_path, capsys, backend):
+        directory = tmp_path / backend
+        shutil.copytree(saved[0], directory)
+        _relabel(directory, backend)
+        capsys.readouterr()
+        assert main(["score", str(directory), str(saved[1]), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert repr(backend) in captured.err
+
+    def test_either_copy_of_the_identity_is_checked(self, saved, tmp_path):
+        archive_only = tmp_path / "archive-only"
+        shutil.copytree(saved[0], archive_only)
+        _relabel(archive_only, "quantized-gru", manifest=False)
+        (archive_only / MANIFEST_FILENAME).unlink()  # a legacy bare .npz
+        with pytest.raises(ModelManifestError, match="model archive"):
+            Clap.load(archive_only)
+        manifest_only = tmp_path / "manifest-only"
+        shutil.copytree(saved[0], manifest_only)
+        _relabel(manifest_only, "quantized-gru", archive=False)
+        with pytest.raises(ModelManifestError, match="model manifest"):
+            Clap.load(manifest_only)

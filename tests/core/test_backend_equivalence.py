@@ -1,9 +1,8 @@
-"""Equivalence-tolerance gates: reduced-precision backends vs the f64 oracle.
+"""Equivalence-tolerance gate: the float32 serving mode vs the f64 oracle.
 
-The acceptance criterion for ISSUE 6: the ``gru-f32`` and ``quantized-gru``
-serving paths must stay verdict-identical to the float64 pipeline on the full
-73-scenario adversarial corpus within their documented tolerances, and the
-``gru`` backend itself must remain exactly equivalent.
+The ``gru-f32`` serving path must stay verdict-identical to the float64
+pipeline on the full 73-scenario adversarial corpus within its documented
+tolerance, and ``gru`` itself must remain exactly equivalent.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.equivalence import (
     BackendEquivalenceError,
     EquivalenceTolerance,
     FLOAT32_TOLERANCE,
-    INT8_TOLERANCE,
     assert_backend_equivalence,
     score_equivalence_report,
     tolerance_for,
@@ -44,6 +42,15 @@ class TestBackendGates:
         assert clone is trained_clap  # already serving gru: no-op conversion
         assert np.array_equal(reference, clone.score_connections(scenario_corpus))
 
+    def test_only_the_two_compute_modes_are_served(self, trained_clap, scenario_corpus):
+        with pytest.raises(ValueError, match="quantized-gru"):
+            trained_clap.with_backend("quantized-gru")
+        reference = trained_clap.score_connections(scenario_corpus)
+        back = trained_clap.with_backend("gru-f32").with_backend("gru")
+        assert back.serving_backend == "gru"
+        assert trained_clap.serving_backend == "gru"  # the source is untouched
+        assert np.array_equal(reference, back.score_connections(scenario_corpus))
+
     def test_float32_passes_its_documented_gate(self, trained_clap, scenario_corpus):
         report = assert_backend_equivalence(
             trained_clap,
@@ -55,26 +62,15 @@ class TestBackendGates:
         assert report.count == 73
         assert report.max_abs_delta < 1e-5  # far inside the gate in practice
 
-    def test_quantized_passes_its_documented_gate(self, trained_clap, scenario_corpus):
-        report = assert_backend_equivalence(
-            trained_clap,
-            trained_clap.with_backend("quantized-gru"),
-            scenario_corpus,
-            tolerance=INT8_TOLERANCE,
-        )
-        assert report.passed
-        assert report.count == 73
-
     def test_benign_verdicts_also_hold(self, trained_clap, small_dataset):
         """Benign connections sit closest to the threshold, so run the gates
         there too — flips outside the tolerance band must not occur."""
-        for backend in ("gru-f32", "quantized-gru"):
-            assert_backend_equivalence(
-                trained_clap,
-                trained_clap.with_backend(backend),
-                small_dataset.test,
-                tolerance=tolerance_for(backend),
-            )
+        assert_backend_equivalence(
+            trained_clap,
+            trained_clap.with_backend("gru-f32"),
+            small_dataset.test,
+            tolerance=tolerance_for("gru-f32"),
+        )
 
 
 class TestGateMechanics:
@@ -114,7 +110,7 @@ class TestGateMechanics:
         with pytest.raises(BackendEquivalenceError, match="impossible"):
             assert_backend_equivalence(
                 trained_clap,
-                trained_clap.with_backend("quantized-gru"),
+                trained_clap.with_backend("gru-f32"),
                 scenario_corpus,
                 tolerance=impossible,
             )
@@ -125,32 +121,6 @@ class TestGateMechanics:
 
 
 class TestConvertedPersistence:
-    def test_converted_pipeline_round_trips_eager_and_mmap(
-        self, tmp_path, trained_clap, scenario_corpus
-    ):
-        """Clap.load must reconstruct a non-default backend from the manifest
-        and archive, eagerly and via read-only mmap, with identical scores."""
-        from repro.core.pipeline import Clap
-
-        quantized = trained_clap.with_backend("quantized-gru")
-        expected = quantized.score_connections(scenario_corpus[:8])
-        directory = tmp_path / "quantized-model"
-        quantized.save(directory)
-
-        import json
-
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["sequence_backend"] == "quantized-gru"
-        assert manifest["schema_version"] == 2
-
-        for mmap_mode in (None, "r"):
-            restored = Clap.load(directory, mmap_mode=mmap_mode)
-            assert restored.backend_name == "quantized-gru"
-            assert restored.serving_backend == "quantized-gru"
-            assert np.array_equal(
-                restored.score_connections(scenario_corpus[:8]), expected
-            )
-
     def test_f32_override_survives_persistence(self, tmp_path, trained_clap, scenario_corpus):
         from repro.core.pipeline import Clap
 
@@ -167,6 +137,7 @@ class TestConvertedPersistence:
         assert manifest["sequence_backend"] == "gru"
         assert manifest["config"]["rnn"]["backend"] == "gru-f32"
 
-        restored = Clap.load(directory)
-        assert restored.serving_backend == "gru-f32"
-        assert np.array_equal(restored.score_connections(scenario_corpus[:8]), expected)
+        for mmap_mode in (None, "r"):
+            restored = Clap.load(directory, mmap_mode=mmap_mode)
+            assert restored.serving_backend == "gru-f32"
+            assert np.array_equal(restored.score_connections(scenario_corpus[:8]), expected)

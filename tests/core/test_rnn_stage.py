@@ -84,3 +84,12 @@ class TestRnnStage:
         stage = RnnStage(RnnConfig(epochs=1))
         with pytest.raises(RuntimeError):
             stage.evaluate([])
+
+    def test_fit_serves_the_configured_compute_mode(self):
+        from repro.traffic.generator import TrafficGenerator
+
+        connections = TrafficGenerator(seed=2).generate_connections(4)
+        for backend, dtype in (("gru", np.float64), ("gru-f32", np.float32)):
+            stage = RnnStage(RnnConfig(epochs=1, backend=backend))
+            stage.fit(connections)
+            assert stage.model.compute_dtype == dtype

@@ -1,9 +1,42 @@
-"""Unit tests for the GRU layer and sequence classifier (including BPTT)."""
+"""Unit tests for the GRU layer and sequence classifier (including BPTT),
+its packed inference loop in both compute dtypes, and packed plans."""
 
 import numpy as np
 import pytest
 
-from repro.nn.gru import GRULayer, GRUSequenceClassifier
+from repro.nn.gru import (
+    GRULayer,
+    GRUSequenceClassifier,
+    PackedPlanCache,
+    build_packed_plan,
+    decode_backend_name,
+    encode_backend_name,
+)
+
+
+@pytest.fixture(scope="module")
+def trained_backend():
+    """A small GRU with non-trivial weights."""
+    rng = np.random.default_rng(0)
+    model = GRUSequenceClassifier(5, 8, 3, seed=1)
+    for _ in range(25):
+        inputs = rng.normal(size=(8, 9, 5))
+        targets = rng.integers(0, 3, size=(8, 9))
+        model.train_batch(inputs, targets)
+    return model
+
+
+@pytest.fixture(scope="module")
+def sequences():
+    rng = np.random.default_rng(42)
+    return [rng.normal(size=(length, 5)) for length in (4, 17, 9, 1, 30, 9)]
+
+
+def _f32_copy(model: GRUSequenceClassifier) -> GRUSequenceClassifier:
+    """What ``Clap.with_backend("gru-f32")`` serves: a float32 state copy."""
+    copy = GRUSequenceClassifier.from_state_dict(model.state_dict())
+    copy.set_compute_dtype("float32")
+    return copy
 
 
 class TestGRULayerForward:
@@ -121,3 +154,152 @@ class TestGRUSequenceClassifier:
         for _ in range(60):
             last = model.train_batch(inputs, targets)
         assert last < first
+
+
+# ---------------------------------------------------------------------------
+# Packed inference loop against the masked training forward
+# ---------------------------------------------------------------------------
+
+
+class TestPackedGatesAgainstMaskedForward:
+    """``gate_activations_concat`` runs ``gates_packed``; the oracle here is
+    the masked :meth:`GRULayer.forward` that training uses, an independent
+    implementation (per-step input projection, padded lanes, masking)."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, trained_backend):
+        rng = np.random.default_rng(17)
+        lengths = np.concatenate([[1, 200], rng.integers(1, 201, size=78)])
+        rng.shuffle(lengths)
+        sequences = [rng.normal(size=(int(length), 5)) for length in lengths]
+        inputs = np.zeros((len(sequences), int(lengths.max()), 5))
+        mask = np.zeros(inputs.shape[:2])
+        for row, sequence in enumerate(sequences):
+            inputs[row, : len(sequence)] = sequence
+            mask[row, : len(sequence)] = 1.0
+        oracle = trained_backend.gru.forward(inputs, mask, need_caches=False)
+        expected_update = np.concatenate(
+            [oracle.update_gates[row, :length] for row, length in enumerate(lengths)]
+        )
+        expected_reset = np.concatenate(
+            [oracle.reset_gates[row, :length] for row, length in enumerate(lengths)]
+        )
+        return sequences, expected_update, expected_reset
+
+    def test_float64_matches_the_training_forward(self, trained_backend, mixed):
+        sequences, expected_update, expected_reset = mixed
+        update, reset, bounds = trained_backend.gate_activations_concat(sequences)
+        assert bounds[-1] == expected_update.shape[0]
+        np.testing.assert_allclose(update, expected_update, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(reset, expected_reset, atol=1e-12, rtol=0)
+
+    def test_float32_matches_the_training_forward(self, trained_backend, mixed):
+        sequences, expected_update, expected_reset = mixed
+        update, reset, _ = _f32_copy(trained_backend).gate_activations_concat(sequences)
+        np.testing.assert_allclose(update, expected_update, atol=1e-5, rtol=0)
+        np.testing.assert_allclose(reset, expected_reset, atol=1e-5, rtol=0)
+
+
+class TestPackedGates:
+    def test_batched_gates_match_the_sequential_oracle(self, trained_backend, sequences):
+        """gate_activations_batch (packed, plan-cached) must stay
+        1e-9-equivalent to the per-sequence gate_activations oracle."""
+        batched = trained_backend.gate_activations_batch(sequences)
+        for sequence, (update, reset) in zip(sequences, batched):
+            oracle_update, oracle_reset = trained_backend.gate_activations(sequence)
+            np.testing.assert_allclose(update, oracle_update, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(reset, oracle_reset, atol=1e-9, rtol=0)
+
+    def test_concat_gates_match_batched_views(self, trained_backend, sequences):
+        update, reset, bounds = trained_backend.gate_activations_concat(sequences)
+        batched = trained_backend.gate_activations_batch(sequences)
+        assert bounds[-1] == sum(len(s) for s in sequences)
+        for index, (pair_update, pair_reset) in enumerate(batched):
+            assert np.array_equal(update[bounds[index] : bounds[index + 1]], pair_update)
+            assert np.array_equal(reset[bounds[index] : bounds[index + 1]], pair_reset)
+
+    def test_float32_mode_stays_close_and_is_reversible(self, trained_backend, sequences):
+        reference = trained_backend.gate_activations_batch(sequences)
+        f32 = _f32_copy(trained_backend)
+        assert f32.compute_dtype == np.float32
+        # The persisted identity is unchanged by the compute mode.
+        assert decode_backend_name(f32.state_dict()["meta/backend"]) == "gru"
+        for (ref_u, ref_r), (got_u, got_r) in zip(
+            reference, f32.gate_activations_batch(sequences)
+        ):
+            assert got_u.dtype == np.float64  # outputs stay float64 views
+            np.testing.assert_allclose(got_u, ref_u, atol=1e-5, rtol=0)
+            np.testing.assert_allclose(got_r, ref_r, atol=1e-5, rtol=0)
+        f32.set_compute_dtype("float64")
+        back = f32.gate_activations_batch(sequences)
+        for (ref_u, ref_r), (got_u, got_r) in zip(reference, back):
+            assert np.array_equal(got_u, ref_u) and np.array_equal(got_r, ref_r)
+
+    def test_invalid_compute_dtype_is_rejected(self, trained_backend):
+        with pytest.raises(ValueError, match="float16"):
+            trained_backend.gru.set_compute_dtype("float16")
+
+    def test_backend_name_encoding_round_trips(self):
+        assert decode_backend_name(encode_backend_name("gru")) == "gru"
+        assert decode_backend_name(None) == "gru"
+
+
+# ---------------------------------------------------------------------------
+# Packed plans
+# ---------------------------------------------------------------------------
+
+
+class TestPackedPlans:
+    def test_plan_covers_every_nonempty_lane_once(self):
+        lengths = np.array([3, 0, 12, 7, 0, 1, 12])
+        plan = build_packed_plan(lengths, chunk_size=3)
+        covered = [i for chunk in plan.chunks for i in chunk.indices]
+        assert sorted(covered + list(plan.empty)) == list(range(len(lengths)))
+        assert plan.total_steps == int(lengths.sum())
+        for chunk in plan.chunks:
+            assert list(chunk.lengths) == sorted(chunk.lengths)
+
+    def test_cache_hits_on_repeated_length_multisets(self):
+        cache = PackedPlanCache(maxsize=4)
+        lengths = np.array([5, 2, 9])
+        first = cache.get(lengths, 64)
+        second = cache.get(np.array([5, 2, 9]), 64)
+        assert first is second
+        assert cache.info() == {"hits": 1, "misses": 1, "size": 1}
+        cache.get(np.array([5, 2, 9]), 32)  # different chunking: a new plan
+        assert cache.info()["misses"] == 2
+
+    def test_cache_evicts_least_recently_used(self):
+        cache = PackedPlanCache(maxsize=2)
+        a = cache.get(np.array([1]), 64)
+        cache.get(np.array([2]), 64)
+        cache.get(np.array([3]), 64)  # evicts [1]
+        assert cache.get(np.array([1]), 64) is not a
+        assert cache.info()["size"] == 2
+
+    def test_classifier_reuses_plans_across_batches(self, trained_backend, sequences):
+        model = GRUSequenceClassifier.from_state_dict(trained_backend.state_dict())
+        model.gate_activations_batch(sequences)
+        before = model.plan_cache_info()
+        model.gate_activations_batch([np.asarray(s) for s in sequences])
+        after = model.plan_cache_info()
+        assert after["hits"] > before["hits"]
+
+
+# ---------------------------------------------------------------------------
+# gates_packed diagnostics
+# ---------------------------------------------------------------------------
+
+
+class TestGatesPackedDiagnostics:
+    def test_unsorted_lengths_name_the_offending_index(self):
+        layer = GRULayer(3, 4, rng=np.random.default_rng(0))
+        inputs = np.zeros((3, 9, 3))
+        with pytest.raises(ValueError, match=r"lengths\[2\]=5 < lengths\[1\]=9"):
+            layer.gates_packed(inputs, np.array([3, 9, 5]))
+
+    def test_mismatched_count_reports_both_sizes(self):
+        layer = GRULayer(3, 4, rng=np.random.default_rng(0))
+        inputs = np.zeros((3, 9, 3))
+        with pytest.raises(ValueError, match="got 2 lengths for 3 lanes"):
+            layer.gates_packed(inputs, np.array([3, 9]))

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Sequence-backend smoke test for CI.
+"""Backend smoke test for CI: the one GRU in its two compute dtypes.
 
-Exercises the pluggable backend surface end to end with no fixtures: train a
-deliberately tiny model per trainable backend, round-trip every serving
-backend through ``save``/``Clap.load`` both eagerly and via read-only mmap,
-and check that ``score --json`` emits the same verdicts across ``--backend``
-paths within each backend's documented equivalence tolerance
-(:mod:`repro.core.equivalence`).  The point is not accuracy — it is that the
-backend registry, the manifest identity and the conversion paths hold
-together as a process would run them.
+Trains a deliberately tiny model with no fixtures, round-trips it as ``gru``
+(float64) and ``gru-f32`` (float32) through ``save``/``Clap.load`` both
+eagerly and via read-only mmap, and checks that ``score --json --backend
+gru-f32`` agrees with ``gru`` within ``FLOAT32_TOLERANCE``
+(:mod:`repro.core.equivalence`).  Finally it relabels the artifact with a
+foreign sequence backend, in the archive and in the manifest, and requires
+``score`` to refuse it with exit code 2.  The point is not accuracy — it is
+that persistence, the manifest identity and the compute modes hold together
+as a process would run them.
 
 Run with:  PYTHONPATH=src python tools/backend_smoke.py
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -25,23 +27,24 @@ from pathlib import Path
 import numpy as np
 
 from repro.cli import main as cli_main
-from repro.core.equivalence import score_equivalence_report, tolerance_for
-from repro.core.pipeline import Clap
+from repro.core.equivalence import FLOAT32_TOLERANCE, score_equivalence_report
+from repro.core.pipeline import SERVING_BACKENDS, Clap
+from repro.nn.gru import encode_backend_name
+from repro.nn.serialization import load_state, save_state
 
 CONNECTIONS = 24
-SERVING_BACKENDS = ("gru", "gru-f32", "quantized-gru")
-TRAINING_BACKENDS = ("gru", "quantized-gru")
+FOREIGN_BACKEND = "mamba"
 
 
 def run(argv: list, capture: bool = False) -> tuple:
-    """Invoke the CLI in-process, optionally capturing stdout."""
+    """Invoke the CLI in-process, optionally capturing stdout and stderr."""
     print(f"$ repro-clap {' '.join(argv)}", file=sys.stderr)
     if not capture:
-        return cli_main(argv), ""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+        return cli_main(argv), "", ""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    return code, buffer.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def scores_from_json(payload: str) -> dict:
@@ -54,62 +57,64 @@ def fail(message: str) -> int:
     return 1
 
 
+def relabel(source: Path, target: Path, backend: str) -> None:
+    """Copy the artifact at ``source`` to ``target`` naming ``backend``."""
+    shutil.copytree(source, target)
+    archive = target / "clap_model.npz"
+    state = dict(load_state(archive))
+    state["rnn/meta/backend"] = encode_backend_name(backend)
+    save_state(archive, state)
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sequence_backend"] = backend
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         capture_path = work / "smoke.pcap"
 
-        code, _ = run(["generate", str(capture_path),
-                       "--connections", str(CONNECTIONS), "--seed", "11"])
+        code, _, _ = run(["generate", str(capture_path),
+                          "--connections", str(CONNECTIONS), "--seed", "11"])
         if code != 0:
             return fail("generate exited non-zero")
 
-        # One tiny model per trainable backend; each must save a loadable
-        # artifact whose manifest records the backend identity.
-        model_dirs = {}
-        for backend in TRAINING_BACKENDS:
-            model_dir = work / f"model-{backend}"
-            code, _ = run(["train", str(model_dir), "--pcap", str(capture_path),
-                           "--fast", "--rnn-epochs", "3", "--ae-epochs", "10",
-                           "--seed", "11", "--backend", backend])
-            if code != 0:
-                return fail(f"train --backend {backend} exited non-zero")
-            manifest = json.loads((model_dir / "manifest.json").read_text())
-            if manifest["sequence_backend"] != backend:
-                return fail(
-                    f"manifest records {manifest['sequence_backend']!r} "
-                    f"for a --backend {backend} model"
-                )
-            model_dirs[backend] = model_dir
+        model_dir = work / "model"
+        code, _, _ = run(["train", str(model_dir), "--pcap", str(capture_path),
+                          "--fast", "--rnn-epochs", "3", "--ae-epochs", "10",
+                          "--seed", "11"])
+        if code != 0:
+            return fail("train exited non-zero")
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        if manifest["sequence_backend"] != "gru":
+            return fail(f"manifest records {manifest['sequence_backend']!r}, expected 'gru'")
 
-        # Round trip every serving backend eagerly and via read-only mmap.
-        base_dir = model_dirs["gru"]
-        base = Clap.load(base_dir)
+        # Round trip both compute modes eagerly and via read-only mmap.
+        base = Clap.load(model_dir)
+        sample = _sample_connections(capture_path)
         for backend in SERVING_BACKENDS:
-            converted_dir = work / f"serving-{backend}"
-            converted = base.with_backend(backend)
-            converted.save(converted_dir)
+            served_dir = work / f"serving-{backend}"
+            base.with_backend(backend).save(served_dir)
             expected = None
             for mmap_mode in (None, "r"):
-                restored = Clap.load(converted_dir, mmap_mode=mmap_mode)
+                restored = Clap.load(served_dir, mmap_mode=mmap_mode)
                 if restored.serving_backend != backend:
                     return fail(
                         f"{'mmap' if mmap_mode else 'eager'} load restored "
                         f"{restored.serving_backend!r}, expected {backend!r}"
                     )
-                scores = restored.score_connections  # bound per load mode
-                sample = scores(_sample_connections(capture_path))
+                scores = restored.score_connections(sample)
                 if expected is None:
-                    expected = sample
-                elif not np.array_equal(np.asarray(expected), np.asarray(sample)):
+                    expected = scores
+                elif not np.array_equal(expected, scores):
                     return fail(f"{backend}: mmap load scores diverge from eager")
 
-        # score --json across --backend paths: identical within the
-        # documented tolerance gates, exact for the gru identity path.
+        # score --json in both modes: gru-f32 within FLOAT32_TOLERANCE of gru.
         outputs = {}
         for backend in SERVING_BACKENDS:
-            code, out = run(["score", str(base_dir), str(capture_path),
-                             "--json", "--backend", backend], capture=True)
+            code, out, _ = run(["score", str(model_dir), str(capture_path),
+                                "--json", "--backend", backend], capture=True)
             if code != 0:
                 return fail(f"score --backend {backend} exited non-zero")
             outputs[backend] = scores_from_json(out)
@@ -118,23 +123,31 @@ def main() -> int:
                     f"score --backend {backend} returned "
                     f"{len(outputs[backend])} rows, expected {CONNECTIONS}"
                 )
-
         keys = sorted(outputs["gru"])
-        reference = np.array([outputs["gru"][key] for key in keys])
-        threshold = base.threshold
-        for backend in SERVING_BACKENDS[1:]:
-            candidate = np.array([outputs[backend][key] for key in keys])
-            report = score_equivalence_report(
-                reference, candidate,
-                tolerance=tolerance_for(backend), threshold=threshold,
+        report = score_equivalence_report(
+            np.array([outputs["gru"][key] for key in keys]),
+            np.array([outputs["gru-f32"][key] for key in keys]),
+            tolerance=FLOAT32_TOLERANCE,
+            threshold=base.threshold,
+        )
+        if not report.passed:
+            return fail(f"--backend gru-f32: {report.summary()}")
+
+        # An artifact naming any other sequence backend is refused cleanly.
+        foreign_dir = work / "foreign"
+        relabel(model_dir, foreign_dir, FOREIGN_BACKEND)
+        code, _, err = run(["score", str(foreign_dir), str(capture_path), "--json"],
+                           capture=True)
+        if code != 2 or "error:" not in err or FOREIGN_BACKEND not in err:
+            return fail(
+                f"score on a {FOREIGN_BACKEND!r} artifact exited {code} "
+                f"with stderr {err.strip()!r}; expected exit 2 naming the backend"
             )
-            if not report.passed:
-                return fail(f"--backend {backend}: {report.summary()}")
 
     print(
-        f"backend smoke OK: {len(TRAINING_BACKENDS)} trained backends, "
-        f"{len(SERVING_BACKENDS)} serving backends round-tripped eager+mmap, "
-        f"score --json within tolerance on {CONNECTIONS} connections",
+        f"backend smoke OK: gru and gru-f32 round-tripped eager+mmap, "
+        f"score --json within tolerance on {CONNECTIONS} connections, "
+        f"{FOREIGN_BACKEND!r} artifact refused",
         file=sys.stderr,
     )
     return 0
